@@ -354,6 +354,14 @@ def _read_cells(obj: dict, field: str) -> tuple[int, ...]:
     return tuple(cells)
 
 
+def _read_typed(obj: dict, field: str, kind: type):
+    """A scalar transcript field, checked to be exactly ``kind`` (so ``True`` is not an int)."""
+    value = obj[field]
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def read_transcripts(path: str) -> list[GameRecord]:
     records: list[GameRecord] = []
     current: GameRecord | None = None
@@ -383,13 +391,13 @@ def read_transcripts(path: str) -> list[GameRecord]:
                         raise KeyError("ply record before any game record")
                     current.plies.append(
                         PlyRecord(
-                            ply=obj["ply"],
+                            ply=_read_typed(obj, "ply", int),
                             role=Role(obj["role"]),
                             cells_before=_read_cells(obj, "cells_before"),
-                            action_code=obj["action"],
-                            action_text=obj["action_text"],
+                            action_code=_read_typed(obj, "action", int),
+                            action_text=_read_typed(obj, "action_text", str),
                             cells_after=_read_cells(obj, "cells_after"),
-                            sum_after=obj["sum_after"],
+                            sum_after=_read_typed(obj, "sum_after", int),
                             status=TerminalStatus.from_label(obj["status"]),
                             annotation=obj.get("annotation"),
                         )

@@ -14,8 +14,6 @@ import os
 import re
 from dataclasses import dataclass
 
-import requests
-
 from .agents import AgentPolicy, RandomSource, random_policy
 from .engine import Action, GameState, MAX_PLIES, Op, Role
 from .errors import ConfigError, TransportError
@@ -195,6 +193,10 @@ class HttpChatBackend:
         }
 
     def complete(self, conversation: Conversation) -> str:
+        # Loaded here so that a process with no HTTP agent never pays for the
+        # HTTP stack (requests, urllib3, ssl, http.client).
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -208,9 +210,14 @@ class HttpChatBackend:
                     timeout=self.timeout,
                 )
                 if resp.status_code // 100 != 2:
-                    raise TransportError(
+                    last_error = TransportError(
                         f"endpoint returned HTTP {resp.status_code}: {resp.text[:200]}"
                     )
+                    # Rate limiting and server faults may clear on a retry;
+                    # any other client error would only be sent again.
+                    if resp.status_code == 429 or resp.status_code >= 500:
+                        continue
+                    break
                 body = resp.json()
                 content = body["choices"][0]["message"]["content"]
                 if not isinstance(content, str):

@@ -37,9 +37,6 @@ class Reachable:
     ongoing: list[GameState]
     terminal: list[tuple[GameState, TerminalStatus]]
 
-    def count_for(self, role: Role) -> int:
-        return sum(1 for s in self.ongoing if role_to_move(s) is role)
-
     def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
         return frozenset(
             state_key(s)

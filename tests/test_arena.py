@@ -115,6 +115,40 @@ def test_transcript_cells_must_be_plain_ints(tmp_path, field, cells):
     assert "line 2" in str(err.value) and field in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ply", "0"),
+        ("ply", 0.0),
+        ("ply", False),
+        ("action", "3"),
+        ("action", 3.0),
+        ("action", True),
+        ("action", None),
+        ("sum_after", "9"),
+        ("sum_after", 9.5),
+        ("sum_after", True),
+        ("action_text", 3),
+        ("action_text", None),
+        ("action_text", ["DRAIN", 1]),
+    ],
+)
+def test_transcript_ply_fields_are_type_checked(tmp_path, field, value):
+    # an "action": "3" used to read cleanly and then fail in verify_record
+    # with a bare TypeError
+    record = play_game(RandomAgent(), RandomAgent(), seed=0)
+    path = tmp_path / "games.jsonl"
+    write_transcripts([record], str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    ply = json.loads(lines[1])
+    ply[field] = value
+    lines[1] = json.dumps(ply) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError) as err:
+        read_transcripts(str(path))
+    assert "line 2" in str(err.value) and field in str(err.value)
+
+
 class TestStats:
     def test_confidence_interval_values(self):
         low, high = compute_ci(500, 1000)

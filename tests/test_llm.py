@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import flux
 from flux.engine import Action, GameState, Op, Role, initial_state
 from flux.errors import ConfigError, TransportError
 from flux.llm import (
@@ -230,6 +234,64 @@ class TestHttpBackend:
         backend = HttpChatBackend("http://127.0.0.1:1/nope", model="m", retries=0, timeout=0.2)
         with pytest.raises(TransportError):
             backend.complete([("user", "hi")])
+
+    @pytest.mark.parametrize("status, sent", [(400, 1), (429, 2), (500, 2)])
+    def test_only_rate_limits_and_server_errors_are_retried(self, chat_server, status, sent):
+        _Handler.reply_status = status
+        backend = HttpChatBackend(chat_server, model="m", retries=1)
+        with pytest.raises(TransportError, match=f"HTTP {status}"):
+            backend.complete([("user", "hi")])
+        assert len(_Handler.requests_seen) == sent
+
+
+# --- the HTTP stack loads only when an HTTP backend sends a request ---------
+
+HTTP_MODULES = ("requests", "urllib3", "ssl", "http.client")
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(flux.__file__)))
+
+
+def _fresh_python(code: str, *args: str) -> list:
+    """Run ``code`` in a new interpreter with ``flux`` importable; return its JSON output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_offline_play_never_loads_the_http_stack():
+    code = f"""
+import json, sys
+import flux.cli
+from flux.arena import MatchupSpec, run_matchup
+from flux.llm import LlmAgent, ScriptedBackend
+from flux.solver import default_solved
+
+default_solved()
+spec = MatchupSpec(lambda seed: LlmAgent(ScriptedBackend(["DRAIN 0"] * 8)), "random", games=4)
+assert run_matchup(spec).games == 4
+print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))
+"""
+    assert _fresh_python(code) == []
+
+
+def test_first_http_request_loads_the_client(chat_server):
+    code = """
+import json, sys
+from flux.llm import HttpChatBackend
+
+before = "requests" in sys.modules
+reply = HttpChatBackend(sys.argv[1], model="m", retries=0).complete([("user", "hi")])
+print(json.dumps([before, reply, "requests" in sys.modules]))
+"""
+    assert _fresh_python(code, chat_server) == [False, "DRAIN 0", True]
+    assert len(_Handler.requests_seen) == 1
 
 
 class TestEnvConfig:

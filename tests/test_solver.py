@@ -7,6 +7,7 @@ are frozen here as regression anchors.
 """
 
 import gc
+import hashlib
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from flux.solver import (
 )
 
 RANDOM_PLAY_SHRINKER_WIN = 0.29231361218346746
+SOLVED_TXT_SHA256 = "c0f2cea6b3ecc7969be53ce7ee2e4a94ba4bcbcd80dca66ed4baed857ed9cc78"
 
 
 def test_reachable_state_counts(solved):
@@ -180,3 +182,11 @@ def test_export_contains_every_state(tmp_path, solved):
     state_from_key(key)
     assert winner in ("shrinker", "amplifier")
     int(depth)
+
+
+def test_export_bytes_are_frozen(tmp_path):
+    # every winner and depth, in file order; any change to the solver or the
+    # export format shows here
+    path = tmp_path / "solved.txt"
+    export_solved(solve(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLVED_TXT_SHA256
