@@ -9,13 +9,11 @@ bit-for-bit from a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .engine import (
     Action,
     GameState,
-    Op,
     Role,
     apply,
     decode_action,
@@ -56,7 +54,7 @@ def random_policy(state: GameState, rng: RandomSource) -> Action:
     return decode_action(rng.randrange(2 * len(state.cells)), len(state.cells))
 
 
-def _argmax_by_code(state: GameState, score) -> Action:
+def argmax_by_code(state: GameState, score) -> Action:
     """Max of ``score(action)`` over legal actions; ties go to the lowest code."""
     best_action = None
     best_score = None
@@ -77,7 +75,7 @@ def heuristic_shrinker(state: GameState) -> Action:
         growth = nxt.total - state.total
         return LENGTH_WEIGHT * removed - max(0, growth)
 
-    return _argmax_by_code(state, score)
+    return argmax_by_code(state, score)
 
 
 def heuristic_amplifier(state: GameState) -> Action:
@@ -89,43 +87,7 @@ def heuristic_amplifier(state: GameState) -> Action:
         growth = nxt.total - state.total
         return growth - LENGTH_WEIGHT * removed
 
-    return _argmax_by_code(state, score)
-
-
-@dataclass
-class QPolicyStats:
-    """Counters a greedy Q policy fills in as it plays."""
-
-    fallbacks: int = 0
-
-
-def greedy_q_policy(
-    qtable: "QTable",
-    state: GameState,
-    rng: RandomSource,
-    stats: QPolicyStats | None = None,
-) -> Action:
-    """Highest-valued stored action for this state; unknown states fall back to random.
-
-    Actions missing from a stored row read as 0.0, and ties resolve to the
-    lowest encoded action, so the choice is deterministic whenever the state
-    has been seen at all.
-    """
-    key = state_key(state)
-    row = qtable.entries.get(key)
-    if row is None:
-        if stats is not None:
-            stats.fallbacks += 1
-        return random_policy(state, rng)
-    n = len(state.cells)
-    best_code = 0
-    best_value = None
-    for code in range(2 * n):
-        v = row.get(code, 0.0)
-        if best_value is None or v > best_value:
-            best_value = v
-            best_code = code
-    return decode_action(best_code, n)
+    return argmax_by_code(state, score)
 
 
 class RandomAgent(AgentPolicy):
@@ -145,19 +107,23 @@ class HeuristicAgent(AgentPolicy):
 
 
 class GreedyQAgent(AgentPolicy):
-    """Plays the argmax of a trained Q-table, counting unseen-state fallbacks."""
+    """Plays the argmax of a trained Q-table; unseen states fall back to random.
+
+    A fallback is annotated ``{"fallback": True}``; the arena counts them from
+    the transcript annotations.  The lookup never creates a row.
+    """
 
     name = "rl"
 
     def __init__(self, qtable: "QTable") -> None:
         super().__init__()
         self.qtable = qtable
-        self.stats = QPolicyStats()
 
     def choose(self, state, role, rng):
-        before = self.stats.fallbacks
-        action = greedy_q_policy(self.qtable, state, rng, self.stats)
-        self.last_annotation = (
-            {"fallback": True} if self.stats.fallbacks > before else None
-        )
-        return action
+        key = state_key(state)
+        if key not in self.qtable.entries:
+            self.last_annotation = {"fallback": True}
+            return random_policy(state, rng)
+        self.last_annotation = None
+        n = len(state.cells)
+        return decode_action(self.qtable.best_code(key, 2 * n), n)

@@ -122,10 +122,12 @@ class GameSummary:
     llm_plies: int
     invalid: int
     fallbacks: int
+    transport_failures: int
 
 
 def summarize_record(record: GameRecord) -> GameSummary:
-    llm_plies = invalid = fallbacks = 0
+    """Per-game counters, read from the ply annotations and nowhere else."""
+    llm_plies = invalid = fallbacks = transport_failures = 0
     for p in record.plies:
         ann = p.annotation or {}
         if "raw_reply" in ann:
@@ -134,6 +136,8 @@ def summarize_record(record: GameRecord) -> GameSummary:
                 invalid += 1
         if ann.get("fallback"):
             fallbacks += 1
+        if ann.get("transport_failure"):
+            transport_failures += 1
     return GameSummary(
         winner=record.outcome.winner,
         plies=len(record.plies),
@@ -141,6 +145,7 @@ def summarize_record(record: GameRecord) -> GameSummary:
         llm_plies=llm_plies,
         invalid=invalid,
         fallbacks=fallbacks,
+        transport_failures=transport_failures,
     )
 
 
@@ -157,6 +162,7 @@ class MatchStats:
     invalid_moves: int
     invalid_fraction: float  # share of LLM plies that had to be substituted
     fallback_count: int
+    transport_failures: int
     reasons: dict[str, int]
 
     def wins_for(self, role: Role) -> int:
@@ -190,17 +196,24 @@ def aggregate_stats(summaries: list[GameSummary]) -> MatchStats:
         invalid_moves=invalid,
         invalid_fraction=invalid / llm_plies if llm_plies else 0.0,
         fallback_count=sum(s.fallbacks for s in summaries),
+        transport_failures=sum(s.transport_failures for s in summaries),
         reasons=dict(sorted(reasons.items())),
     )
 
 
 def compute_ci(wins: int, games: int) -> tuple[float, float]:
-    """95% normal-approximation interval for a win rate, clamped to [0, 1]."""
+    """Wilson 95% score interval for a win rate (Wilson 1927), clamped to [0, 1].
+
+    Unlike the normal approximation it keeps a non-zero width at 0 and 100%.
+    """
     if games <= 0:
         raise ValueError("games must be positive")
     p = wins / games
-    half = 1.96 * math.sqrt(p * (1.0 - p) / games)
-    return (max(0.0, p - half), min(1.0, p + half))
+    z2 = 1.96 * 1.96
+    denom = 1.0 + z2 / games
+    centre = (p + z2 / (2 * games)) / denom
+    half = 1.96 * math.sqrt(p * (1.0 - p) / games + z2 / (4 * games * games)) / denom
+    return (max(0.0, centre - half), min(1.0, centre + half))
 
 
 # ---------------------------------------------------------------------------

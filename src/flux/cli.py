@@ -135,6 +135,8 @@ def _print_matchup(label: str, stats) -> None:
         )
     if stats.fallback_count:
         print(f"  q-table fallbacks {stats.fallback_count}")
+    if stats.transport_failures:
+        print(f"  transport failures {stats.transport_failures}")
     print(f"  outcomes: {stats.reasons}")
 
 

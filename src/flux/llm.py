@@ -96,13 +96,6 @@ def parse_reply(text: str, state: GameState) -> ParsedReply:
     return ParsedReply(Action(index, op))
 
 
-@dataclass
-class LlmStats:
-    plies: int = 0
-    invalid: int = 0
-    transport_failures: int = 0
-
-
 Conversation = list[tuple[str, str]]  # (speaker, text) with chat-style speakers
 
 
@@ -112,7 +105,6 @@ def llm_agent_step(
     state: GameState,
     role: Role,
     rng: RandomSource,
-    stats: LlmStats,
 ) -> tuple[Action, dict]:
     """One turn: prompt, parse, substitute if needed, extend the conversation.
 
@@ -129,21 +121,12 @@ def llm_agent_step(
         raw = ""
         transport_failure = True
     parsed = parse_reply(raw, state)
-    stats.plies += 1
-    if parsed.ok:
-        action = parsed.action
-        substituted = False
-    else:
-        action = random_policy(state, rng)
-        substituted = True
-        stats.invalid += 1
-        if transport_failure:
-            stats.transport_failures += 1
+    action = parsed.action if parsed.ok else random_policy(state, rng)
     conversation.append(("assistant", action.text))
     annotation = {
         "raw_reply": raw,
         "parse": "ok" if parsed.ok else parsed.invalid,
-        "substituted": substituted,
+        "substituted": not parsed.ok,
     }
     if transport_failure:
         annotation["transport_failure"] = True
@@ -242,18 +225,19 @@ def http_backend_from_env(environ: dict | None = None) -> HttpChatBackend:
 
 
 class LlmAgent(AgentPolicy):
-    """Wraps a backend in the per-game protocol: one conversation, one stats block."""
+    """Wraps a backend in the per-game protocol: one conversation per game.
+
+    Each move's annotation is the only record of what the model said; the
+    arena counts plies, substitutions and transport failures from it.
+    """
 
     def __init__(self, backend, name: str | None = None) -> None:
         super().__init__()
         self.backend = backend
         self.name = name or f"llm:{getattr(backend, 'name', 'backend')}"
         self.conversation: Conversation = []
-        self.stats = LlmStats()
 
     def choose(self, state, role, rng):
-        action, annotation = llm_agent_step(
-            self.backend, self.conversation, state, role, rng, self.stats
-        )
+        action, annotation = llm_agent_step(self.backend, self.conversation, state, role, rng)
         self.last_annotation = annotation
         return action

@@ -20,6 +20,7 @@ from .engine import (
     decode_action,
     initial_state,
     role_to_move,
+    state_from_key,
     state_key,
 )
 from .errors import ConfigError, FormatError
@@ -276,7 +277,12 @@ def load_qtable(path: str) -> QTable:
         if not sep or not cells:
             raise FormatError(f"{path}: line {i + 1}: expected '<state>\\t<code>=<value>;...'")
         try:
-            row_len = len(state_from_key_cells(key))
+            state = state_from_key(key)
+            # state_key never writes "02", " 2" or "+0"; a row under such a
+            # key would never be looked up
+            if state_key(state) != key:
+                raise ValueError(f"non-canonical state key {key!r}")
+            row_len = len(state.cells)
             row: dict[int, float] = {}
             for item in cells.split(";"):
                 code_s, sep2, value_s = item.partition("=")
@@ -293,14 +299,6 @@ def load_qtable(path: str) -> QTable:
             raise FormatError(f"{path}: line {i + 1}: {exc}") from exc
         q.entries[key] = row
     return q
-
-
-def state_from_key_cells(key: str) -> tuple[int, ...]:
-    cells_part, sep, moves_part = key.partition("|")
-    if not sep:
-        raise ValueError(f"bad state key {key!r}")
-    int(moves_part)  # validates
-    return tuple(int(v) for v in cells_part.split(","))
 
 
 CURVE_HEADER = "episode,mode,epsilon,winner,plies,states_shrinker,states_amplifier"

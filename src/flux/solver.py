@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .agents import AgentPolicy
+from .agents import AgentPolicy, argmax_by_code
 from .engine import (
     Action,
     GameState,
@@ -148,18 +148,14 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     if state_key(state) not in solved.value:
         raise StateError(f"state {state_key(state)!r} was never solved (unreachable from the root)")
     mover = role_to_move(state)
-    best_action: Action | None = None
-    best_rank: tuple[int, int] | None = None
-    for action in legal_actions(state):  # ascending encoded order
-        child, status = apply(state, action)
-        winner, d = _child_outcome(solved, child, status)
-        # Rank: winning beats losing; among wins prefer small depth, among
-        # losses prefer large depth.
-        rank = (0, d) if winner is mover else (1, -d)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best_action = action
-    return best_action
+
+    def score(action: Action) -> tuple[int, int]:
+        # Winning beats losing; among wins prefer small depth, among losses
+        # prefer large depth.
+        winner, d = _child_outcome(solved, *apply(state, action))
+        return (1, -d) if winner is mover else (0, d)
+
+    return argmax_by_code(state, score)
 
 
 def random_win_table(
@@ -185,10 +181,7 @@ def random_win_table(
             else:
                 p = visit(child)
             total = total + p
-        if exact:
-            p_here = total / len(actions)
-        else:
-            p_here = total / float(len(actions))
+        p_here = total / len(actions)
         table[key] = p_here
         return p_here
 

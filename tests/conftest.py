@@ -12,7 +12,7 @@ from flux.engine import (
     state_from_key,
     status_of,
 )
-from flux.llm import LlmStats, ScriptedBackend, llm_agent_step
+from flux.llm import ScriptedBackend, llm_agent_step
 from flux.qlearn import TrainConfig, train
 from flux.solver import default_solved
 
@@ -45,13 +45,12 @@ def make_scripted_record():
             Role.AMPLIFIER: ScriptedBackend(list(p1_replies)),
         }
         conversations = {Role.SHRINKER: [], Role.AMPLIFIER: []}
-        stats = {Role.SHRINKER: LlmStats(), Role.AMPLIFIER: LlmStats()}
         plies = []
         status = status_of(state)
         while not status.is_terminal:
             role = role_to_move(state)
             action, annotation = llm_agent_step(
-                backends[role], conversations[role], state, role, rng, stats[role]
+                backends[role], conversations[role], state, role, rng
             )
             nxt, status = apply(state, action)
             plies.append(

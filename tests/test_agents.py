@@ -1,21 +1,22 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from flux.agents import (
     GreedyQAgent,
     HeuristicAgent,
-    QPolicyStats,
     RandomAgent,
-    greedy_q_policy,
     heuristic_amplifier,
     heuristic_shrinker,
     random_policy,
 )
-from flux.engine import Action, GameState, Op, encode_action, initial_state, state_key
+from flux.engine import Action, GameState, Op, encode_action, initial_state, role_to_move, state_key
 from flux.errors import StateError
-from flux.qlearn import QTable
+from flux.qlearn import QTable, load_qtable
 from flux.engine import Role
+from flux.solver import reachable_states
 
 from conftest import random_playout
 
@@ -87,34 +88,45 @@ class TestAmplifierHeuristic:
 
 
 class TestGreedyQ:
+    FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
+    # SHA-256 of "key\tcode\n" over every live state the fixture holds, in
+    # key order; frozen before the agent's argmax moved onto QTable.best_code
+    FIXTURE_MOVES_SHA256 = "a9b99c37c21f8fe200414e3e63195ba99f4834d58ad702c8bb59db028e379aa7"
+
     def make_table(self, key, row):
         q = QTable(role=Role.SHRINKER)
         q.entries[key] = row
         return q
 
+    def choose(self, q, state, seed=0):
+        agent = GreedyQAgent(q)
+        return agent.choose(state, role_to_move(state), random.Random(seed)), agent
+
     def test_argmax_with_ties_takes_the_lowest_code(self):
         state = initial_state()
         q = self.make_table(state_key(state), {0: 0.5, 3: 0.5, 7: 0.2})
-        action = greedy_q_policy(q, state, random.Random(0))
+        action, agent = self.choose(q, state)
         assert encode_action(action) == 0
+        assert agent.last_annotation is None
 
     def test_missing_codes_read_as_zero(self):
         state = initial_state()
         q = self.make_table(state_key(state), {5: -0.3})
-        action = greedy_q_policy(q, state, random.Random(0))
+        action, _ = self.choose(q, state)
         # every unseen action counts 0.0, which beats the only stored entry
         assert encode_action(action) == 0
 
     def test_unseen_state_falls_back_to_random(self):
         state = initial_state()
         q = QTable(role=Role.SHRINKER)
-        stats = QPolicyStats()
+        fallbacks = 0
         seen = set()
         for i in range(200):
-            action = greedy_q_policy(q, state, random.Random(i), stats)
+            action, agent = self.choose(q, state, seed=i)
+            fallbacks += agent.last_annotation == {"fallback": True}
             seen.add(encode_action(action))
             assert 0 <= action.index < 5
-        assert stats.fallbacks == 200
+        assert fallbacks == 200
         assert len(seen) > 1  # really random, not a fixed default
         assert q.entries == {}  # the lookup must not create rows
 
@@ -123,6 +135,18 @@ class TestGreedyQ:
         agent = GreedyQAgent(QTable(role=Role.SHRINKER))
         agent.choose(state, Role.SHRINKER, random.Random(4))
         assert agent.last_annotation == {"fallback": True}
+
+    def test_moves_on_the_fixture_are_frozen(self):
+        q = load_qtable(str(self.FIXTURE))
+        live = sorted(reachable_states().ongoing, key=state_key)
+        present = [s for s in live if state_key(s) in q.entries]
+        assert len(present) == 2438
+        digest = hashlib.sha256()
+        for state in present:
+            action, agent = self.choose(q, state)
+            assert agent.last_annotation is None
+            digest.update(f"{state_key(state)}\t{encode_action(action)}\n".encode())
+        assert digest.hexdigest() == self.FIXTURE_MOVES_SHA256
 
 
 def test_agent_wrappers_have_names():

@@ -151,15 +151,15 @@ def test_transcript_ply_fields_are_type_checked(tmp_path, field, value):
 
 class TestStats:
     def test_confidence_interval_values(self):
+        # Wilson score interval: non-zero width at 0% and 100%
         low, high = compute_ci(500, 1000)
-        assert low == pytest.approx(0.4690096789303499, abs=1e-15)
-        assert high == pytest.approx(0.5309903210696502, abs=1e-15)
-        assert compute_ci(0, 1000) == (0.0, 0.0)
-        assert compute_ci(1000, 1000) == (1.0, 1.0)
-        # the interval clamps into [0, 1]
+        assert low == pytest.approx(0.4690690341793595, abs=1e-15)
+        assert high == pytest.approx(0.5309309658206405, abs=1e-15)
+        assert compute_ci(0, 1000) == pytest.approx((0.0, 0.003826898586390522), abs=1e-15)
+        assert compute_ci(1000, 1000) == pytest.approx((0.9961731014136095, 1.0), abs=1e-15)
         low, high = compute_ci(1, 4)
-        assert low == 0.0
-        assert high == pytest.approx(0.674352447854375, abs=1e-15)
+        assert low == pytest.approx(0.045586062644636216, abs=1e-15)
+        assert high == pytest.approx(0.6993639475573634, abs=1e-15)
 
     def test_aggregate_counts(self):
         records = [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(8)]
@@ -171,6 +171,7 @@ class TestStats:
         assert stats.avg_moves == stats.total_plies / 8
         assert sum(stats.reasons.values()) == 8
         assert stats.llm_plies == 0 and stats.invalid_moves == 0
+        assert stats.fallback_count == 0 and stats.transport_failures == 0
 
     def test_aggregate_is_order_independent(self):
         records = [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(6)]

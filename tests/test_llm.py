@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 import flux
+from flux.cli import main
 from flux.engine import Action, GameState, Op, Role, initial_state
 from flux.errors import ConfigError, TransportError
 from flux.llm import (
@@ -18,7 +19,6 @@ from flux.llm import (
     MODEL_ENV,
     HttpChatBackend,
     LlmAgent,
-    LlmStats,
     ScriptedBackend,
     http_backend_from_env,
     llm_agent_step,
@@ -104,48 +104,42 @@ def test_scripted_backend_plays_in_order_then_goes_silent():
 class TestAgentStep:
     def test_valid_reply_is_applied_verbatim(self):
         conversation = []
-        stats = LlmStats()
         action, note = llm_agent_step(
             ScriptedBackend(["DRAIN 3"]),
             conversation,
             initial_state(),
             Role.SHRINKER,
             random.Random(0),
-            stats,
         )
         assert action == Action(3, Op.DRAIN)
         assert note == {"raw_reply": "DRAIN 3", "parse": "ok", "substituted": False}
-        assert stats.plies == 1 and stats.invalid == 0
         assert conversation[0][0] == "user"
         assert "Flux is" in conversation[0][1]  # rules ride along on the first turn
         assert conversation[1] == ("assistant", "DRAIN 3")
 
     def test_rules_are_not_repeated(self):
         conversation = []
-        stats = LlmStats()
         backend = ScriptedBackend(["DRAIN 3", "DRAIN 0"])
-        llm_agent_step(backend, conversation, initial_state(), Role.SHRINKER, random.Random(0), stats)
+        llm_agent_step(backend, conversation, initial_state(), Role.SHRINKER, random.Random(0))
         llm_agent_step(
-            backend, conversation, GameState((2, 1, 3, 2), 2), Role.SHRINKER, random.Random(0), stats
+            backend, conversation, GameState((2, 1, 3, 2), 2), Role.SHRINKER, random.Random(0)
         )
         assert len(conversation) == 4
         assert "Flux is" not in conversation[2][1]
 
     def test_garbage_reply_gets_a_random_legal_substitute(self):
         conversation = []
-        stats = LlmStats()
         action, note = llm_agent_step(
             ScriptedBackend(["I refuse."]),
             conversation,
             initial_state(),
             Role.SHRINKER,
             random.Random(5),
-            stats,
         )
         assert 0 <= action.index < 5
         assert note["parse"] == "format"
         assert note["substituted"] is True
-        assert stats.invalid == 1
+        assert "transport_failure" not in note
         # the transcript shows the move that was actually played
         assert conversation[1] == ("assistant", action.text)
 
@@ -154,13 +148,11 @@ class TestAgentStep:
             def complete(self, conversation):
                 raise TransportError("connection refused")
 
-        stats = LlmStats()
         action, note = llm_agent_step(
-            DeadBackend(), [], initial_state(), Role.SHRINKER, random.Random(1), stats
+            DeadBackend(), [], initial_state(), Role.SHRINKER, random.Random(1)
         )
         assert note["transport_failure"] is True
         assert note["substituted"] is True
-        assert stats.transport_failures == 1
         assert 0 <= action.index < 5
 
 
@@ -294,6 +286,20 @@ print(json.dumps([before, reply, "requests" in sys.modules]))
     assert len(_Handler.requests_seen) == 1
 
 
+def test_tournament_reports_transport_failures(chat_server, monkeypatch, capsys):
+    # every request gets HTTP 400, which is not retried: each model ply is a
+    # transport failure, counted from the annotations and printed
+    _Handler.reply_status = 400
+    monkeypatch.setenv(ENDPOINT_ENV, chat_server)
+    monkeypatch.setenv(MODEL_ENV, "m")
+    assert main(["tournament", "--p0", "llm:http", "--p1", "random", "--games", "2"]) == 0
+    sent = len(_Handler.requests_seen)
+    out = capsys.readouterr().out
+    assert sent > 0
+    assert f"llm plies {sent}, substituted {sent} (100.0%)" in out
+    assert f"transport failures {sent}" in out
+
+
 class TestEnvConfig:
     def test_missing_endpoint_is_a_config_error(self, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV, raising=False)
@@ -325,5 +331,3 @@ def test_llm_agent_keeps_per_game_state():
     second = agent.choose(GameState((2, 3, 1, 2), 2), Role.SHRINKER, rng)
     assert agent.last_annotation["substituted"] is True
     assert 0 <= second.index < 4
-    assert agent.stats.plies == 2
-    assert agent.stats.invalid == 1

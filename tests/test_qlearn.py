@@ -243,6 +243,18 @@ class TestSerialization:
             load_qtable(str(path))
         assert "code 4 out of range" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key", ["02,1,3,1,2|0", " 2,1,3,1,2|0", "2,1,3,1,2|00", "2,1,3,1,2|+0"]
+    )
+    def test_non_canonical_key_is_an_error(self, tmp_path, key):
+        # int() reads these, but state_key never writes them, so the row
+        # would never be found and every lookup would fall back to random
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + f"{key}\t0=0.5\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 4" in str(err.value) and "non-canonical" in str(err.value)
+
     def test_curve_file(self, tmp_path):
         _, _, curve = train(TrainConfig(episodes=3, seed=2))
         path = tmp_path / "curve.csv"

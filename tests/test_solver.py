@@ -17,6 +17,7 @@ from flux.engine import (
     GameState,
     Role,
     apply,
+    encode_action,
     initial_state,
     legal_actions,
     role_to_move,
@@ -37,6 +38,8 @@ from flux.solver import (
 
 RANDOM_PLAY_SHRINKER_WIN = 0.29231361218346746
 SOLVED_TXT_SHA256 = "c0f2cea6b3ecc7969be53ce7ee2e4a94ba4bcbcd80dca66ed4baed857ed9cc78"
+# SHA-256 of "key\tcode\n" for the optimal move at every live state, in key order
+OPTIMAL_MOVES_SHA256 = "209378b7118b05b4dcb4539de1ed35e40faf90983e088dbf313ab8f4d96d2d52"
 
 
 def test_reachable_state_counts(solved):
@@ -141,6 +144,17 @@ def test_optimal_self_play_lasts_exactly_the_solved_depth(solved):
         plies += 1
     assert plies == 15
     assert status.winner is Role.AMPLIFIER
+
+
+def test_optimal_moves_are_frozen(solved):
+    # every tie-break and depth preference, over the whole live game
+    live = sorted(reachable_states().ongoing, key=state_key)
+    assert len(live) == 8410
+    digest = hashlib.sha256()
+    for state in live:
+        code = encode_action(optimal_policy(solved, state))
+        digest.update(f"{state_key(state)}\t{code}\n".encode())
+    assert digest.hexdigest() == OPTIMAL_MOVES_SHA256
 
 
 def test_optimal_agent_wraps_the_policy(solved):
