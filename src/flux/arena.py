@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .agents import (
@@ -282,6 +281,8 @@ def run_matchup(spec: MatchupSpec, transcript_path: str | None = None, jobs: int
     writer = open(transcript_path, "w", encoding="utf-8", newline="\n") if transcript_path else None
     try:
         if jobs > 1:
+            # imported here: processes that never play in threads skip loading it
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 for record in pool.map(play_one, range(spec.games)):
                     summaries.append(summarize_record(record))

@@ -77,9 +77,14 @@ class TerminalStatus:
 
 
 ONGOING = TerminalStatus()
+# status_of hands out these shared values rather than a new one per call
+_SUM_EXCEEDED = TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20)
+_SINGLE_CELL = TerminalStatus(Role.SHRINKER, Reason.SINGLE_CELL)
+_TIEBREAK_FEW = TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3)
+_TIEBREAK_MANY = TerminalStatus(Role.AMPLIFIER, Reason.TIEBREAK_AT_LEAST_3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameState:
     """A position: the row of cells and how many moves have been played.
 
@@ -114,19 +119,19 @@ def initial_state() -> GameState:
 
 def status_of(state: GameState) -> TerminalStatus:
     """Classify a state.  Checks are ordered: sum cap, then row length, then tiebreak."""
-    if state.total > SUM_LIMIT:
-        return TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20)
-    if len(state.cells) <= 1:
-        return TerminalStatus(Role.SHRINKER, Reason.SINGLE_CELL)
+    cells = state.cells
+    if sum(cells) > SUM_LIMIT:
+        return _SUM_EXCEEDED
+    n = len(cells)
+    if n <= 1:
+        return _SINGLE_CELL
     if state.moves_played >= MAX_PLIES:
-        if len(state.cells) < TIEBREAK_MIN_CELLS:
-            return TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3)
-        return TerminalStatus(Role.AMPLIFIER, Reason.TIEBREAK_AT_LEAST_3)
+        return _TIEBREAK_FEW if n < TIEBREAK_MIN_CELLS else _TIEBREAK_MANY
     return ONGOING
 
 
 def role_to_move(state: GameState) -> Role:
-    if status_of(state).is_terminal:
+    if status_of(state) is not ONGOING:
         raise StateError(f"game over in state {state_key(state)!r}; nobody moves")
     return Role.SHRINKER if state.moves_played % 2 == 0 else Role.AMPLIFIER
 
@@ -142,27 +147,22 @@ def legal_actions(state: GameState) -> list[Action]:
 
     The list is a fresh copy, so callers may change it freely.
     """
-    if status_of(state).is_terminal:
+    if status_of(state) is not ONGOING:
         raise StateError(f"game over in state {state_key(state)!r}; no legal actions")
     return list(_row_actions(len(state.cells)))
 
 
 def apply(state: GameState, action: Action) -> tuple[GameState, TerminalStatus]:
     """Apply one move and return (next state, status of the next state)."""
-    if status_of(state).is_terminal:
+    if status_of(state) is not ONGOING:
         raise StateError(f"cannot move in finished state {state_key(state)!r}")
-    n = len(state.cells)
-    if not 0 <= action.index < n:
-        raise IndexError(f"cell index {action.index} out of range for a row of {n}")
-    value = state.cells[action.index]
-    new_value = value * 2 if action.op is Op.AMPLIFY else value // 2
-    if new_value == 0:
-        cells = state.cells[: action.index] + state.cells[action.index + 1 :]
-    else:
-        cells = (
-            state.cells[: action.index] + (new_value,) + state.cells[action.index + 1 :]
-        )
-    nxt = GameState(cells, state.moves_played + 1)
+    cells, index = state.cells, action.index
+    if not 0 <= index < len(cells):
+        raise IndexError(f"cell index {index} out of range for a row of {len(cells)}")
+    value = cells[index] * 2 if action.op is Op.AMPLIFY else cells[index] // 2
+    # a cell drained to zero is deleted and the row closes up
+    row = cells[:index] + ((value,) if value else ()) + cells[index + 1 :]
+    nxt = GameState(row, state.moves_played + 1)
     return nxt, status_of(nxt)
 
 

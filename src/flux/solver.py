@@ -1,21 +1,25 @@
-"""Exact solver: full enumeration and backward induction over the reachable game.
+"""Exact solver: one layered game graph, evaluated backwards from its leaves.
 
-The game tree from any root is finite (at most 15 plies), so the winner under
-best play is computed exactly by memoised recursion.  ``depth`` records how
-many plies the game lasts when the winner hurries and the loser stalls.  The
-same enumeration yields the Shrinker's win probability when both sides play
+Every move adds one to the move count, so the game from any root (at most 15
+plies) falls into layers by move count, built breadth first.  A backward pass
+over the layers (retrograde analysis) gives the winner under best play and
+``depth``, how many plies the game lasts when the winner hurries and the loser
+stalls; another gives the Shrinker's win probability when both sides play
 uniformly at random, in double precision or exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TypeVar
 
 from .agents import AgentPolicy, argmax_by_code
 from .engine import (
+    ONGOING,
     Action,
     GameState,
     Role,
@@ -28,6 +32,37 @@ from .engine import (
     status_of,
 )
 from .errors import StateError
+
+T = TypeVar("T")
+
+
+def _layers(root: GameState) -> Iterator[tuple[list[GameState], list[TerminalStatus], array, array]]:
+    """Breadth-first layers from ``root``, one per move count.
+
+    Yields ``(states, statuses, offsets, children)`` for each layer.  States
+    are in order of discovery and each appears once.  The children of state
+    ``i`` are ``children[offsets[i]:offsets[i + 1]]``: indices into the next
+    layer, one per legal action in encoded-action order.
+    """
+    states, statuses = [root], [status_of(root)]
+    while states:
+        index: dict[tuple[int, ...], int] = {}  # a layer shares one move count
+        below: list[GameState] = []
+        below_statuses: list[TerminalStatus] = []
+        offsets, children = array("I", [0]), array("I")
+        for state, status in zip(states, statuses):
+            if status is ONGOING:
+                for action in legal_actions(state):
+                    child, child_status = apply(state, action)
+                    i = index.get(child.cells)
+                    if i is None:
+                        i = index[child.cells] = len(below)
+                        below.append(child)
+                        below_statuses.append(child_status)
+                    children.append(i)
+            offsets.append(len(children))
+        yield states, statuses, offsets, children
+        states, statuses = below, below_statuses
 
 
 @dataclass
@@ -46,31 +81,38 @@ class Reachable:
 
 
 def reachable_states(root: GameState | None = None) -> Reachable:
-    """Breadth-first closure; children expand in encoded-action order."""
-    root = root if root is not None else initial_state()
-    seen: set[str] = set()
-    ongoing: list[GameState] = []
-    terminal: list[tuple[GameState, TerminalStatus]] = []
-    queue: deque[GameState] = deque()
+    """Breadth-first closure; children are discovered in encoded-action order."""
+    reach = Reachable(ongoing=[], terminal=[])
+    for states, statuses, _, _ in _layers(root if root is not None else initial_state()):
+        for state, status in zip(states, statuses):
+            if status is ONGOING:
+                reach.ongoing.append(state)
+            else:
+                reach.terminal.append((state, status))
+    return reach
 
-    def admit(state: GameState, status: TerminalStatus) -> None:
-        key = state_key(state)
-        if key in seen:
-            return
-        seen.add(key)
-        if status.is_terminal:
-            terminal.append((state, status))
-        else:
-            ongoing.append(state)
-            queue.append(state)
 
-    admit(root, status_of(root))
-    while queue:
-        state = queue.popleft()
-        for action in legal_actions(state):
-            child, status = apply(state, action)
-            admit(child, status)
-    return Reachable(ongoing=ongoing, terminal=terminal)
+def _backward(
+    root: GameState, leaf: Callable[[TerminalStatus], T], node: Callable[[int, list[T]], T]
+) -> Iterator[tuple[str, T]]:
+    """Yield ``(key, value)`` for every state reachable from ``root``, deepest layer first.
+
+    A terminal state is worth ``leaf(status)``.  A live state is worth
+    ``node(layer, values)``: its distance from the root and its children's
+    values in encoded-action order.
+    """
+    # each layer's states go as soon as they have keys; the graph keeps indices
+    graph = [([state_key(s) for s in states], *rest) for states, *rest in _layers(root)]
+    below: list[T] = []
+    for layer in range(len(graph) - 1, -1, -1):
+        keys, statuses, offsets, children = graph.pop()
+        here: list[T] = []
+        for key, status, start, end in zip(keys, statuses, offsets, offsets[1:]):
+            live = status is ONGOING
+            value = node(layer, [below[c] for c in children[start:end]]) if live else leaf(status)
+            here.append(value)
+            yield key, value
+        below = here
 
 
 @dataclass
@@ -84,48 +126,25 @@ class SolvedGame:
 
 def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
-    if status_of(root).is_terminal:
+    if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    value: dict[str, Role] = {}
-    depth: dict[str, int] = {}
+    movers = (role_to_move(root), role_to_move(root).opponent)  # the players alternate
     counts = {Role.SHRINKER: 0, Role.AMPLIFIER: 0}
 
-    def visit(state: GameState) -> tuple[Role, int]:
-        key = state_key(state)
-        if key in value:
-            return value[key], depth[key]
-        mover = role_to_move(state)
+    def best(layer: int, outcomes: list[tuple[Role, int]]) -> tuple[Role, int]:
+        # the mover wins as fast as it can, or else loses as slowly as it can
+        mover = movers[layer % 2]
         counts[mover] += 1
-        win_depths: list[int] = []
-        loss_depths: list[int] = []
-        for action in legal_actions(state):
-            child, status = apply(state, action)
-            if status.is_terminal:
-                ckey = state_key(child)
-                value.setdefault(ckey, status.winner)
-                depth.setdefault(ckey, 0)
-                w, d = status.winner, 0
-            else:
-                w, d = visit(child)
-            (win_depths if w is mover else loss_depths).append(d)
+        win_depths = [d for w, d in outcomes if w is mover]
         if win_depths:
-            result = (mover, 1 + min(win_depths))
-        else:
-            result = (mover.opponent, 1 + max(loss_depths))
-        value[key], depth[key] = result
-        return result
+            return mover, 1 + min(win_depths)
+        return mover.opponent, 1 + max(d for _, d in outcomes)
 
-    visit(root)
-    # visit reaches itself through its closure; without this the cycle keeps
-    # the tables alive after the caller drops them, until a full gc pass
-    del visit
-    return SolvedGame(
-        root=root,
-        value=value,
-        depth=depth,
-        reachable_shrinker=counts[Role.SHRINKER],
-        reachable_amplifier=counts[Role.AMPLIFIER],
-    )
+    value, depth = {}, {}
+    for key, (winner, plies) in _backward(root, lambda s: (s.winner, 0), best):
+        value[key] = winner
+        depth[key] = plies
+    return SolvedGame(root, value, depth, counts[Role.SHRINKER], counts[Role.AMPLIFIER])
 
 
 def _child_outcome(solved: SolvedGame, child: GameState, status: TerminalStatus) -> tuple[Role, int]:
@@ -158,40 +177,19 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     return argmax_by_code(state, score)
 
 
-def random_win_table(
-    root: GameState | None = None, exact: bool = False
-) -> dict[str, float | Fraction]:
+def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
     """Shrinker win probability at every reachable state when both sides play uniformly."""
-    root = root if root is not None else initial_state()
     one: float | Fraction = Fraction(1) if exact else 1.0
     zero: float | Fraction = Fraction(0) if exact else 0.0
-    table: dict[str, float | Fraction] = {}
 
-    def visit(state: GameState):
-        key = state_key(state)
-        if key in table:
-            return table[key]
-        total = zero
-        actions = legal_actions(state)
-        for action in actions:
-            child, status = apply(state, action)
-            if status.is_terminal:
-                p = one if status.winner is Role.SHRINKER else zero
-                table.setdefault(state_key(child), p)
-            else:
-                p = visit(child)
+    def mean(layer: int, outcomes: list[float | Fraction]) -> float | Fraction:
+        total = zero  # one by one in encoded-action order; sum() rounds differently on 3.12+
+        for p in outcomes:
             total = total + p
-        p_here = total / len(actions)
-        table[key] = p_here
-        return p_here
+        return total / len(outcomes)
 
-    status = status_of(root)
-    if status.is_terminal:
-        table[state_key(root)] = one if status.winner is Role.SHRINKER else zero
-    else:
-        visit(root)
-    del visit  # break the closure cycle, as in solve
-    return table
+    root = root if root is not None else initial_state()
+    return dict(_backward(root, lambda s: one if s.winner is Role.SHRINKER else zero, mean))
 
 
 def random_win_prob(

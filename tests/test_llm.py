@@ -239,6 +239,8 @@ class TestHttpBackend:
 # --- the HTTP stack loads only when an HTTP backend sends a request ---------
 
 HTTP_MODULES = ("requests", "urllib3", "ssl", "http.client")
+# offline play also runs serially, so it never needs a thread pool
+OFFLINE_UNUSED = HTTP_MODULES + ("concurrent.futures",)
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(flux.__file__)))
 
 
@@ -268,7 +270,7 @@ from flux.solver import default_solved
 default_solved()
 spec = MatchupSpec(lambda seed: LlmAgent(ScriptedBackend(["DRAIN 0"] * 8)), "random", games=4)
 assert run_matchup(spec).games == 4
-print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))
+print(json.dumps([m for m in {OFFLINE_UNUSED!r} if m in sys.modules]))
 """
     assert _fresh_python(code) == []
 

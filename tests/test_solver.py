@@ -9,6 +9,7 @@ are frozen here as regression anchors.
 import gc
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,9 @@ RANDOM_PLAY_SHRINKER_WIN = 0.29231361218346746
 SOLVED_TXT_SHA256 = "c0f2cea6b3ecc7969be53ce7ee2e4a94ba4bcbcd80dca66ed4baed857ed9cc78"
 # SHA-256 of "key\tcode\n" for the optimal move at every live state, in key order
 OPTIMAL_MOVES_SHA256 = "209378b7118b05b4dcb4539de1ed35e40faf90983e088dbf313ab8f4d96d2d52"
+# SHA-256 of "key\n" per live state, then "key\tlabel\n" per terminal state, in
+# the order reachable_states lists them (benchmarks pick live states by index)
+REACHABLE_ORDER_SHA256 = "241cd3ed118244431a513ed510ad81c14454650d3bbbdba14b643e6646589400"
 
 
 def test_reachable_state_counts(solved):
@@ -50,6 +54,16 @@ def test_reachable_state_counts(solved):
     assert len(amplifier_turn) == 3984
     # the solved value table covers exactly the live positions plus terminals
     assert len(solved.value) == len(reach.ongoing) + len(reach.terminal)
+
+
+def test_reachable_order_is_frozen():
+    reach = reachable_states()
+    digest = hashlib.sha256()
+    for state in reach.ongoing:
+        digest.update(f"{state_key(state)}\n".encode())
+    for state, status in reach.terminal:
+        digest.update(f"{state_key(state)}\t{status.label}\n".encode())
+    assert digest.hexdigest() == REACHABLE_ORDER_SHA256
 
 
 def test_opening_is_an_amplifier_win_in_fifteen(solved):
@@ -93,6 +107,52 @@ def test_tables_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_solve_peak_memory_stays_near_its_result():
+    # the graph behind solve may cost at most as much again as the tables it
+    # returns; keeping a GameState per node would cost more
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()  # empties the free lists, which hold no part of the result
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.value) == 16613
+    assert peak - base <= 2 * (current - base)
+
+
+def test_sub_games_agree_with_the_full_game(solved):
+    full_exact = random_win_table(exact=True)
+    # seeded live roots of both movers, plus one a single move before the end
+    live = reachable_states().ongoing
+    roots = random.Random(23).sample(live, 19)
+    roots.append(next(s for s in live if s.moves_played == 14))
+    assert {role_to_move(r) for r in roots} == {Role.SHRINKER, Role.AMPLIFIER}
+    for root in roots:
+        sub = solve(root)
+        reach = reachable_states(root)
+        keys = {state_key(s) for s in reach.ongoing} | {state_key(s) for s, _ in reach.terminal}
+        assert set(sub.value) == set(sub.depth) == keys
+        assert all(sub.value[k] is solved.value[k] for k in keys)
+        assert all(sub.depth[k] == solved.depth[k] for k in keys)
+        by_mover = [role_to_move(s) for s in reach.ongoing]
+        assert sub.reachable_shrinker == by_mover.count(Role.SHRINKER)
+        assert sub.reachable_amplifier == by_mover.count(Role.AMPLIFIER)
+        table = random_win_table(root, exact=True)
+        assert set(table) == keys
+        assert all(table[k] == full_exact[k] for k in keys)
+
+
+def test_solving_a_finished_game_raises():
+    with pytest.raises(StateError):
+        solve(GameState((5,), 4))
+    with pytest.raises(StateError):
+        solve(GameState((1, 2, 3), 15))
 
 
 def test_winner_always_has_a_winning_reply(solved):
