@@ -377,8 +377,10 @@ def _read_typed(obj: dict, field: str, kind: type):
 
 
 def read_transcripts(path: str) -> list[GameRecord]:
+    """Every game in a transcript file; a record is built at its ``end`` line."""
     records: list[GameRecord] = []
-    current: GameRecord | None = None
+    header: tuple | None = None  # (game, seed, p0, p1) of the open game, until its end line
+    plies: list[PlyRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -391,19 +393,13 @@ def read_transcripts(path: str) -> list[GameRecord]:
             try:
                 kind = obj["type"]
                 if kind == "game":
-                    current = GameRecord(
-                        game_id=obj["game"],
-                        seed=obj["seed"],
-                        p0_name=obj["p0"],
-                        p1_name=obj["p1"],
-                        plies=[],
-                        outcome=None,
-                    )
-                    records.append(current)
+                    if header is not None:
+                        raise ValueError(f"game {header[0]} has no end record")
+                    header, plies = (obj["game"], obj["seed"], obj["p0"], obj["p1"]), []
                 elif kind == "ply":
-                    if current is None:
+                    if header is None:
                         raise KeyError("ply record before any game record")
-                    current.plies.append(
+                    plies.append(
                         PlyRecord(
                             ply=_read_typed(obj, "ply", int),
                             role=Role(obj["role"]),
@@ -417,17 +413,17 @@ def read_transcripts(path: str) -> list[GameRecord]:
                         )
                     )
                 elif kind == "end":
-                    if current is None:
+                    if header is None:
                         raise KeyError("end record before any game record")
-                    current.outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
-                    current = None
+                    outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
+                    records.append(GameRecord(*header, plies, outcome))
+                    header = None
                 else:
                     raise KeyError(f"unknown record type {kind!r}")
             except (KeyError, ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    for record in records:
-        if record.outcome is None:
-            raise FormatError(f"{path}: game {record.game_id} has no end record")
+    if header is not None:
+        raise FormatError(f"{path}: game {header[0]} has no end record")
     return records
 
 

@@ -152,23 +152,33 @@ def legal_actions(state: GameState) -> list[Action]:
     return list(_row_actions(len(state.cells)))
 
 
+_AMPLIFY = Op.AMPLIFY  # Op.AMPLIFY is a slow load on 3.11, whose EnumType defines __getattr__
+
+
+def _step(cells: tuple[int, ...], index: int, op: Op) -> tuple[int, ...]:
+    """The move rule, unchecked: the caller vouches the game is live and ``index`` valid."""
+    value = cells[index] * 2 if op is _AMPLIFY else cells[index] // 2
+    # a cell drained to zero is deleted and the row closes up
+    return cells[:index] + ((value,) if value else ()) + cells[index + 1 :]
+
+
 def apply(state: GameState, action: Action) -> tuple[GameState, TerminalStatus]:
-    """Apply one move and return (next state, status of the next state)."""
+    """Apply one move and return (next state, status of the next state).
+
+    Every check is made here; the move itself is ``_step``, the rule's one copy.
+    """
     if status_of(state) is not ONGOING:
         raise StateError(f"cannot move in finished state {state_key(state)!r}")
     cells, index = state.cells, action.index
     if not 0 <= index < len(cells):
         raise IndexError(f"cell index {index} out of range for a row of {len(cells)}")
-    value = cells[index] * 2 if action.op is Op.AMPLIFY else cells[index] // 2
-    # a cell drained to zero is deleted and the row closes up
-    row = cells[:index] + ((value,) if value else ()) + cells[index + 1 :]
-    nxt = GameState(row, state.moves_played + 1)
+    nxt = GameState(_step(cells, index, action.op), state.moves_played + 1)
     return nxt, status_of(nxt)
 
 
 def state_key(state: GameState) -> str:
     """Stable text key: comma-joined cells, a pipe, then the move count."""
-    return ",".join(str(v) for v in state.cells) + "|" + str(state.moves_played)
+    return ",".join(map(str, state.cells)) + "|" + str(state.moves_played)
 
 
 def state_from_key(key: str) -> GameState:

@@ -11,6 +11,7 @@ in between.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 from .agents import RandomSource, random_policy
@@ -292,7 +293,7 @@ def load_qtable(path: str) -> QTable:
                 value = float(value_s)
                 if not 0 <= code < 2 * row_len:
                     raise ValueError(f"code {code} out of range for key {key!r}")
-                if value != value or value in (float("inf"), float("-inf")):
+                if not math.isfinite(value):
                     raise ValueError(f"non-finite value for code {code}")
                 row[code] = value
         except ValueError as exc:

@@ -1,11 +1,13 @@
 """Exact solver: one layered game graph, evaluated backwards from its leaves.
 
 Every move adds one to the move count, so the game from any root (at most 15
-plies) falls into layers by move count, built breadth first.  A backward pass
-over the layers (retrograde analysis) gives the winner under best play and
-``depth``, how many plies the game lasts when the winner hurries and the loser
-stalls; another gives the Shrinker's win probability when both sides play
-uniformly at random, in double precision or exact rational arithmetic.
+plies) falls into layers by move count, built breadth first through the
+unchecked step ``apply`` shares; a layer deduplicates child rows before a
+state is built.  A backward pass over the layers (retrograde analysis) gives
+the winner under best play and ``depth``, how many plies the game lasts when
+the winner hurries and the loser stalls; another gives the Shrinker's win
+probability when both sides play uniformly at random, in double precision or
+exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .engine import (
     GameState,
     Role,
     TerminalStatus,
+    _row_actions,
+    _step,
     apply,
     initial_state,
-    legal_actions,
     role_to_move,
     state_key,
     status_of,
@@ -43,22 +46,29 @@ def _layers(root: GameState) -> Iterator[tuple[list[GameState], list[TerminalSta
     are in order of discovery and each appears once.  The children of state
     ``i`` are ``children[offsets[i]:offsets[i + 1]]``: indices into the next
     layer, one per legal action in encoded-action order.
+
+    Edges move through ``_step``, the unchecked rule ``apply`` shares, and a
+    layer shares one move count, so each child row is deduplicated before a
+    ``GameState`` and its status are made: once per state, not per edge.
     """
     states, statuses = [root], [status_of(root)]
     while states:
-        index: dict[tuple[int, ...], int] = {}  # a layer shares one move count
+        moves = states[0].moves_played + 1
+        index: dict[tuple[int, ...], int] = {}
         below: list[GameState] = []
         below_statuses: list[TerminalStatus] = []
         offsets, children = array("I", [0]), array("I")
         for state, status in zip(states, statuses):
             if status is ONGOING:
-                for action in legal_actions(state):
-                    child, child_status = apply(state, action)
-                    i = index.get(child.cells)
+                cells = state.cells
+                for action in _row_actions(len(cells)):
+                    row = _step(cells, action.index, action.op)
+                    i = index.get(row)
                     if i is None:
-                        i = index[child.cells] = len(below)
+                        i = index[row] = len(below)
+                        child = GameState(row, moves)
                         below.append(child)
-                        below_statuses.append(child_status)
+                        below_statuses.append(status_of(child))
                     children.append(i)
             offsets.append(len(children))
         yield states, statuses, offsets, children
@@ -147,16 +157,6 @@ def solve(root: GameState | None = None) -> SolvedGame:
     return SolvedGame(root, value, depth, counts[Role.SHRINKER], counts[Role.AMPLIFIER])
 
 
-def _child_outcome(solved: SolvedGame, child: GameState, status: TerminalStatus) -> tuple[Role, int]:
-    if status.is_terminal:
-        return status.winner, 0
-    key = state_key(child)
-    try:
-        return solved.value[key], solved.depth[key]
-    except KeyError:
-        raise StateError(f"state {key!r} was never solved (unreachable from the root)")
-
-
 def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     """Best move: win as fast as possible, or lose as slowly as possible.
 
@@ -170,9 +170,11 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
 
     def score(action: Action) -> tuple[int, int]:
         # Winning beats losing; among wins prefer small depth, among losses
-        # prefer large depth.
-        winner, d = _child_outcome(solved, *apply(state, action))
-        return (1, -d) if winner is mover else (0, d)
+        # prefer large depth.  A solved state's children, terminal or not,
+        # are solved too.
+        key = state_key(apply(state, action)[0])
+        d = solved.depth[key]
+        return (1, -d) if solved.value[key] is mover else (0, d)
 
     return argmax_by_code(state, score)
 

@@ -17,6 +17,7 @@ from flux.arena import (
     compute_ci,
     play_game,
     read_transcripts,
+    record_to_jsonl,
     run_benchmark,
     run_matchup,
     summarize_record,
@@ -88,11 +89,38 @@ def test_unreadable_transcript_reports_the_line(tmp_path):
     assert "line 2" in str(err.value)
 
 
+GAME_LINE = '{"type": "game", "game": 0, "seed": 0, "p0": "a", "p1": "b", "p0_role": 0}\n'
+
+
 def test_transcript_without_an_end_record_is_rejected(tmp_path):
     path = tmp_path / "games.jsonl"
-    path.write_text('{"type": "game", "game": 0, "seed": 0, "p0": "a", "p1": "b", "p0_role": 0}\n')
-    with pytest.raises(FormatError):
+    path.write_text(GAME_LINE)
+    with pytest.raises(FormatError) as err:
         read_transcripts(str(path))
+    assert "game 0 has no end record" in str(err.value)
+
+
+def test_game_cut_short_by_the_next_game_is_rejected(tmp_path):
+    record = play_game(RandomAgent(), RandomAgent(), seed=0, game_id=1)
+    path = tmp_path / "games.jsonl"
+    path.write_text(GAME_LINE + record_to_jsonl(record))
+    with pytest.raises(FormatError) as err:
+        read_transcripts(str(path))
+    assert "line 2" in str(err.value) and "game 0 has no end record" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["ply", "end"])
+def test_record_before_any_game_is_rejected(tmp_path, kind):
+    record = play_game(RandomAgent(), RandomAgent(), seed=0)
+    path = tmp_path / "games.jsonl"
+    write_transcripts([record], str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    line = lines[1] if kind == "ply" else lines[-1]
+    path.write_text(line + "".join(lines))
+    with pytest.raises(FormatError) as err:
+        read_transcripts(str(path))
+    assert "line 1" in str(err.value) and f"{kind} record before any game record" in str(err.value)
+
 
 
 @pytest.mark.parametrize("field", ["cells_before", "cells_after"])

@@ -243,6 +243,14 @@ class TestSerialization:
             load_qtable(str(path))
         assert "code 4 out of range" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_an_error(self, tmp_path, value):
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + "2,1|0\t0=0.5\n" + f"2,2|0\t1={value}\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 5" in str(err.value) and "non-finite value for code 1" in str(err.value)
+
     @pytest.mark.parametrize(
         "key", ["02,1,3,1,2|0", " 2,1,3,1,2|0", "2,1,3,1,2|00", "2,1,3,1,2|+0"]
     )

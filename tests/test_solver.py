@@ -11,9 +11,12 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
+import flux.engine
+import flux.solver
 from flux.engine import (
     GameState,
     Role,
@@ -29,6 +32,7 @@ from flux.engine import (
 from flux.errors import StateError
 from flux.solver import (
     OptimalAgent,
+    _layers,
     export_solved,
     optimal_policy,
     random_win_prob,
@@ -64,6 +68,47 @@ def test_reachable_order_is_frozen():
     for state, status in reach.terminal:
         digest.update(f"{state_key(state)}\t{status.label}\n".encode())
     assert digest.hexdigest() == REACHABLE_ORDER_SHA256
+
+
+def test_every_graph_edge_matches_the_checked_apply():
+    # the graph moves through the engine's unchecked step; every edge of every
+    # layer must be what the public, checked apply gives for that action
+    states = edges = 0
+    layers = [*_layers(initial_state()), ([], [], None, None)]
+    for (layer, statuses, offsets, children), (below, below_statuses, _, _) in pairwise(layers):
+        for i, (state, status) in enumerate(zip(layer, statuses)):
+            assert status is status_of(state)
+            kids = children[offsets[i] : offsets[i + 1]]
+            if status.is_terminal:
+                assert len(kids) == 0
+                continue
+            states += 1
+            actions = legal_actions(state)
+            assert len(kids) == len(actions)
+            for c, action in zip(kids, actions):
+                child, child_status = apply(state, action)
+                assert below[c] == child  # same cells and moves_played
+                assert below_statuses[c] is child_status
+                edges += 1
+    assert (states, edges) == (8410, 74108)
+
+
+def test_graph_classifies_each_reachable_state_once(monkeypatch):
+    # a child row is looked up before a state is made, so status_of runs once
+    # per distinct state, not once per edge; the engine's name is counted too,
+    # so a build through the public apply shows
+    calls = 0
+
+    def counting_status_of(state):
+        nonlocal calls
+        calls += 1
+        return status_of(state)
+
+    monkeypatch.setattr(flux.solver, "status_of", counting_status_of)
+    monkeypatch.setattr(flux.engine, "status_of", counting_status_of)
+    reach = reachable_states()
+    assert len(reach.ongoing) + len(reach.terminal) == 16613
+    assert calls == 16613
 
 
 def test_opening_is_an_amplifier_win_in_fifteen(solved):
