@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .agents import (
@@ -219,8 +220,8 @@ def compute_ci(wins: int, games: int) -> tuple[float, float]:
 # Matchups
 # ---------------------------------------------------------------------------
 
-# A factory builds a fresh agent for a game from that game's seed, so shared
-# structures (Q-tables, solved tables) stay read-only across concurrent games.
+# A factory builds a fresh agent for each game from that game's seed, so no
+# agent state carries over from one game to the next.
 
 
 @dataclass(frozen=True)
@@ -267,36 +268,26 @@ def agent_factory(identifier):
     raise ConfigError(f"unknown agent id {identifier!r}")
 
 
-def run_matchup(spec: MatchupSpec, transcript_path: str | None = None, jobs: int = 1) -> MatchStats:
+def run_matchup(spec: MatchupSpec, transcript_path: str | None = None) -> MatchStats:
+    """Play the games in seed order, streaming each record to the transcript if one is asked for."""
     if spec.games <= 0:
         raise ConfigError("a matchup needs at least one game")
     p0_factory = agent_factory(spec.p0)
     p1_factory = agent_factory(spec.p1)
-
-    def play_one(i: int) -> GameRecord:
-        seed = spec.base_seed + i
-        return play_game(p0_factory(seed), p1_factory(seed), seed, game_id=i)
-
     summaries: list[GameSummary] = []
-    writer = open(transcript_path, "w", encoding="utf-8", newline="\n") if transcript_path else None
-    try:
-        if jobs > 1:
-            # imported here: processes that never play in threads skip loading it
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for record in pool.map(play_one, range(spec.games)):
-                    summaries.append(summarize_record(record))
-                    if writer:
-                        writer.write(record_to_jsonl(record))
-        else:
-            for i in range(spec.games):
-                record = play_one(i)
-                summaries.append(summarize_record(record))
-                if writer:
-                    writer.write(record_to_jsonl(record))
-    finally:
-        if writer:
-            writer.close()
+
+    def records() -> Iterator[GameRecord]:
+        for i in range(spec.games):
+            seed = spec.base_seed + i
+            record = play_game(p0_factory(seed), p1_factory(seed), seed, game_id=i)
+            summaries.append(summarize_record(record))
+            yield record
+
+    if transcript_path:
+        write_transcripts(records(), transcript_path)
+    else:
+        for _ in records():
+            pass
     return aggregate_stats(summaries)
 
 
@@ -354,7 +345,8 @@ def record_to_jsonl(record: GameRecord) -> str:
     return "".join(lines)
 
 
-def write_transcripts(records: list[GameRecord], path: str) -> None:
+def write_transcripts(records: Iterable[GameRecord], path: str) -> None:
+    """The one transcript writer: each record is written as soon as it is drawn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(record_to_jsonl(record))
@@ -395,10 +387,15 @@ def read_transcripts(path: str) -> list[GameRecord]:
                 if kind == "game":
                     if header is not None:
                         raise ValueError(f"game {header[0]} has no end record")
-                    header, plies = (obj["game"], obj["seed"], obj["p0"], obj["p1"]), []
+                    game = _read_typed(obj, "game", int)
+                    header, plies = (game, _read_typed(obj, "seed", int), obj["p0"], obj["p1"]), []
+                elif kind not in ("ply", "end"):
+                    raise KeyError(f"unknown record type {kind!r}")
+                elif header is None:
+                    raise KeyError(f"{kind} record before any game record")
+                elif _read_typed(obj, "game", int) != header[0]:
+                    raise ValueError(f"{kind} record for game {obj['game']} inside game {header[0]}")
                 elif kind == "ply":
-                    if header is None:
-                        raise KeyError("ply record before any game record")
                     plies.append(
                         PlyRecord(
                             ply=_read_typed(obj, "ply", int),
@@ -412,14 +409,12 @@ def read_transcripts(path: str) -> list[GameRecord]:
                             annotation=obj.get("annotation"),
                         )
                     )
-                elif kind == "end":
-                    if header is None:
-                        raise KeyError("end record before any game record")
+                else:
+                    if _read_typed(obj, "plies", int) != len(plies):
+                        raise ValueError(f"end record counts {obj['plies']} plies, {len(plies)} were read")
                     outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
                     records.append(GameRecord(*header, plies, outcome))
                     header = None
-                else:
-                    raise KeyError(f"unknown record type {kind!r}")
             except (KeyError, ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     if header is not None:
@@ -624,6 +619,8 @@ def run_benchmark(
     jobs: int = 1,
 ) -> BenchmarkReport:
     """Run the eight benchmark matchups with trained tables and report both columns."""
+    if jobs != 1:  # kept only because perfbench/workloads.py passes jobs=1
+        raise ConfigError(f"games are played serially; jobs must be 1, got {jobs}")
     substitutions = {_RL_S: f"rl:{q_shrinker_path}", _RL_A: f"rl:{q_amplifier_path}"}
     rows: list[BenchmarkRow] = []
     for i, (label, p0, p1, role, ref_win, ref_moves) in enumerate(BENCHMARK_ROWS):
@@ -634,7 +631,7 @@ def run_benchmark(
             base_seed=base_seed + i * games,
             label=label,
         )
-        stats = run_matchup(spec, jobs=jobs)
+        stats = run_matchup(spec)
         rows.append(
             BenchmarkRow(
                 label=label,

@@ -151,7 +151,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
             transcript_path = os.path.join(out, "transcripts.jsonl")
     elif args.transcripts:
         raise ConfigError("--transcripts needs an output directory (-o)")
-    stats = run_matchup(spec, transcript_path=transcript_path, jobs=args.jobs)
+    stats = run_matchup(spec, transcript_path=transcript_path)
     _print_matchup(label, stats)
     if out:
         csv_path = os.path.join(out, "stats.csv")
@@ -166,7 +166,6 @@ def cmd_tournament(args: argparse.Namespace) -> int:
                 "p1": args.p1,
                 "games": args.games,
                 "seed": args.seed,
-                "jobs": args.jobs,
                 "transcripts": bool(args.transcripts),
             },
         )
@@ -177,13 +176,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    report = run_benchmark(
-        args.q_shrinker,
-        args.q_amplifier,
-        games=args.games,
-        base_seed=args.seed,
-        jobs=args.jobs,
-    )
+    report = run_benchmark(args.q_shrinker, args.q_amplifier, games=args.games, base_seed=args.seed)
     text = report.to_text()
     print(text)
     if args.out:
@@ -311,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", required=True, help="Amplifier agent id")
     p.add_argument("--games", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--label", default=None)
     p.add_argument("--transcripts", action="store_true")
     p.add_argument("-o", "--out", default=None)
@@ -322,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-amplifier", required=True)
     p.add_argument("--games", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_benchmark)
 

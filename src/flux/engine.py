@@ -193,4 +193,4 @@ def encode_action(action: Action) -> int:
 def decode_action(code: int, row_len: int) -> Action:
     if not 0 <= code < 2 * row_len:
         raise ValueError(f"action code {code} out of range for a row of {row_len}")
-    return Action(code >> 1, Op.DRAIN if code & 1 else Op.AMPLIFY)
+    return _row_actions(row_len)[code]

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from .agents import RandomSource, random_policy
 from .engine import (
+    ONGOING,
     Role,
     apply,
     decode_action,
@@ -23,6 +24,7 @@ from .engine import (
     role_to_move,
     state_from_key,
     state_key,
+    status_of,
 )
 from .errors import ConfigError, FormatError
 
@@ -279,10 +281,12 @@ def load_qtable(path: str) -> QTable:
             raise FormatError(f"{path}: line {i + 1}: expected '<state>\\t<code>=<value>;...'")
         try:
             state = state_from_key(key)
-            # state_key never writes "02", " 2" or "+0"; a row under such a
-            # key would never be looked up
+            # state_key never writes "02", " 2" or "+0", and no agent moves in
+            # a finished state: a row under such a key would never be looked up
             if state_key(state) != key:
                 raise ValueError(f"non-canonical state key {key!r}")
+            if status_of(state) is not ONGOING:
+                raise ValueError(f"finished state {key!r} is never looked up")
             row_len = len(state.cells)
             row: dict[int, float] = {}
             for item in cells.split(";"):

@@ -122,6 +122,33 @@ def test_record_before_any_game_is_rejected(tmp_path, kind):
     assert "line 1" in str(err.value) and f"{kind} record before any game record" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "where, field, value, message",
+    [
+        ("end", "plies", 99, "end record counts 99 plies"),
+        ("end", "game", 7, "end record for game 7 inside game 0"),
+        ("ply", "game", 42, "ply record for game 42 inside game 1"),
+        ("game", "game", "one", "game must be int"),
+        ("game", "seed", "not-a-seed", "seed must be int"),
+    ],
+)
+def test_transcript_records_must_agree_with_their_game(tmp_path, where, field, value, message):
+    # each edit used to read cleanly, and verify_record found nothing wrong
+    records = [play_game(RandomAgent(), RandomAgent(), seed=s, game_id=s) for s in range(2)]
+    path = tmp_path / "games.jsonl"
+    write_transcripts(records, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    first_end = len(records[0].plies) + 1
+    lineno = {"game": 0, "end": first_end, "ply": first_end + 2}[where]
+    obj = json.loads(lines[lineno])
+    assert obj["type"] == where
+    obj[field] = value
+    lines[lineno] = json.dumps(obj) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError) as err:
+        read_transcripts(str(path))
+    assert f"line {lineno + 1}:" in str(err.value) and message in str(err.value)
+
 
 @pytest.mark.parametrize("field", ["cells_before", "cells_after"])
 @pytest.mark.parametrize(
@@ -245,11 +272,13 @@ class TestMatchups:
         run_matchup(spec, transcript_path=str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_pool_does_not_change_the_result(self):
-        spec = MatchupSpec(p0="random", p1="heuristic", games=16, base_seed=3)
-        serial = run_matchup(spec)
-        threaded = run_matchup(spec, jobs=4)
-        assert serial == threaded
+    def test_transcript_bytes_come_from_write_transcripts(self, tmp_path):
+        spec = MatchupSpec(p0="random", p1="heuristic", games=9, base_seed=5)
+        played, written = tmp_path / "played.jsonl", tmp_path / "written.jsonl"
+        run_matchup(spec, transcript_path=str(played))
+        records = (play_game(RandomAgent(), HeuristicAgent(), 5 + i, game_id=i) for i in range(9))
+        write_transcripts(records, str(written))
+        assert played.read_bytes() == written.read_bytes()
 
     def test_zero_games_is_a_config_error(self):
         with pytest.raises(ConfigError):
@@ -328,6 +357,11 @@ class TestClassifier:
 
     def test_tag_names(self):
         assert set(ALL_TAGS) == {"sum_blindness", "row_miscount", "myopia", "format"}
+
+
+def test_benchmark_plays_one_job_only():
+    with pytest.raises(ConfigError, match="jobs must be 1"):
+        run_benchmark("qs.txt", "qa.txt", games=1, jobs=2)
 
 
 def test_benchmark_smoke(tmp_path, small_tables):

@@ -86,6 +86,20 @@ class TestTournament:
         assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("tournament", "--p0", "random", "--p1", "random"),
+        ("benchmark", "--q-shrinker", "qs.txt", "--q-amplifier", "qa.txt"),
+    ],
+)
+def test_jobs_is_not_an_option(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(*command, "--jobs", 2)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 class TestReplayAndClassify:
     @pytest.fixture()
     def transcripts(self, tmp_path):

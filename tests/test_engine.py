@@ -193,6 +193,13 @@ def test_action_codes():
         decode_action(-1, 5)
 
 
+def test_decoded_actions_are_the_legal_actions_in_code_order():
+    for n in range(1, 6):
+        # a single cell ends the game, so its two actions are spelled out
+        expected = legal_actions(GameState((2,) * n)) if n > 1 else [Action(0, Op.AMPLIFY), Action(0, Op.DRAIN)]
+        assert [decode_action(code, n) for code in range(2 * n)] == expected
+
+
 def test_action_text():
     assert Action(1, Op.DRAIN).text == "DRAIN 1"
     assert Action(4, Op.AMPLIFY).text == "AMPLIFY 4"

@@ -263,6 +263,15 @@ class TestSerialization:
             load_qtable(str(path))
         assert "line 4" in str(err.value) and "non-canonical" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["25,1|0", "2,1|15", "5|3"])
+    def test_finished_state_key_is_an_error(self, tmp_path, key):
+        # nobody moves in a finished state, so no lookup could reach the row
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + "2,1|0\t0=0.5\n" + f"{key}\t0=0.5\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 5" in str(err.value) and "finished state" in str(err.value)
+
     def test_curve_file(self, tmp_path):
         _, _, curve = train(TrainConfig(episodes=3, seed=2))
         path = tmp_path / "curve.csv"
