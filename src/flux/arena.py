@@ -387,8 +387,9 @@ def read_transcripts(path: str) -> list[GameRecord]:
                 if kind == "game":
                     if header is not None:
                         raise ValueError(f"game {header[0]} has no end record")
-                    game = _read_typed(obj, "game", int)
-                    header, plies = (game, _read_typed(obj, "seed", int), obj["p0"], obj["p1"]), []
+                    game, seed = _read_typed(obj, "game", int), _read_typed(obj, "seed", int)
+                    p0, p1 = _read_typed(obj, "p0", str), _read_typed(obj, "p1", str)
+                    header, plies = (game, seed, p0, p1), []
                 elif kind not in ("ply", "end"):
                     raise KeyError(f"unknown record type {kind!r}")
                 elif header is None:
@@ -396,6 +397,9 @@ def read_transcripts(path: str) -> list[GameRecord]:
                 elif _read_typed(obj, "game", int) != header[0]:
                     raise ValueError(f"{kind} record for game {obj['game']} inside game {header[0]}")
                 elif kind == "ply":
+                    annotation = obj.get("annotation")
+                    if annotation is not None and type(annotation) is not dict:
+                        raise ValueError(f"annotation must be an object or null, got {annotation!r}")
                     plies.append(
                         PlyRecord(
                             ply=_read_typed(obj, "ply", int),
@@ -406,7 +410,7 @@ def read_transcripts(path: str) -> list[GameRecord]:
                             cells_after=_read_cells(obj, "cells_after"),
                             sum_after=_read_typed(obj, "sum_after", int),
                             status=TerminalStatus.from_label(obj["status"]),
-                            annotation=obj.get("annotation"),
+                            annotation=annotation,
                         )
                     )
                 else:

@@ -32,16 +32,22 @@ class Role(Enum):
 
     @property
     def player_index(self) -> int:
-        return 0 if self is Role.SHRINKER else 1
+        return 0 if self is _SHRINKER else 1
 
     @property
     def opponent(self) -> "Role":
-        return Role.AMPLIFIER if self is Role.SHRINKER else Role.SHRINKER
+        return _AMPLIFIER if self is _SHRINKER else _SHRINKER
 
 
 class Op(Enum):
     AMPLIFY = "amplify"
     DRAIN = "drain"
+
+
+# the ply loops load these through module names: Role.X or Op.X is a slow
+# load on 3.11, whose EnumType defines __getattr__
+_SHRINKER, _AMPLIFIER = Role.SHRINKER, Role.AMPLIFIER
+_AMPLIFY, _DRAIN = Op.AMPLIFY, Op.DRAIN
 
 
 class Reason(Enum):
@@ -133,7 +139,7 @@ def status_of(state: GameState) -> TerminalStatus:
 def role_to_move(state: GameState) -> Role:
     if status_of(state) is not ONGOING:
         raise StateError(f"game over in state {state_key(state)!r}; nobody moves")
-    return Role.SHRINKER if state.moves_played % 2 == 0 else Role.AMPLIFIER
+    return _SHRINKER if state.moves_played % 2 == 0 else _AMPLIFIER
 
 
 @cache  # rows never grow, so play fills one entry per length up to len(INITIAL_CELLS)
@@ -150,9 +156,6 @@ def legal_actions(state: GameState) -> list[Action]:
     if status_of(state) is not ONGOING:
         raise StateError(f"game over in state {state_key(state)!r}; no legal actions")
     return list(_row_actions(len(state.cells)))
-
-
-_AMPLIFY = Op.AMPLIFY  # Op.AMPLIFY is a slow load on 3.11, whose EnumType defines __getattr__
 
 
 def _step(cells: tuple[int, ...], index: int, op: Op) -> tuple[int, ...]:
@@ -187,7 +190,7 @@ def state_from_key(key: str) -> GameState:
 
 
 def encode_action(action: Action) -> int:
-    return 2 * action.index + (1 if action.op is Op.DRAIN else 0)
+    return 2 * action.index + (1 if action.op is _DRAIN else 0)
 
 
 def decode_action(code: int, row_len: int) -> Action:

@@ -1,22 +1,22 @@
-"""Exact solver: one layered game graph, evaluated backwards from its leaves.
+"""Exact solver: one row graph, evaluated backwards from its leaves.
 
-Every move adds one to the move count, so the game from any root (at most 15
-plies) falls into layers by move count, built breadth first through the
-unchecked step ``apply`` shares; a layer deduplicates child rows before a
-state is built.  A backward pass over the layers (retrograde analysis) gives
-the winner under best play and ``depth``, how many plies the game lasts when
-the winner hurries and the loser stalls; another gives the Shrinker's win
-probability when both sides play uniformly at random, in double precision or
-exact rational arithmetic.
+A state's children depend only on its row: the 16,613 states of the standard
+game hold 3,333 distinct rows, and each live row's children are found once,
+through the unchecked step ``apply`` shares.  Layers, one per move count (at
+most 15 from any root), list the rows they hold, and each state is classified
+once, by ``status_of``.  A backward pass over the layers (retrograde analysis)
+gives the winner under best play and ``depth``, the plies to the end when the
+winner hurries and the loser stalls; another gives the Shrinker's win
+probability under uniform random play, in double precision or exact.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import TypeVar
 
 from .agents import AgentPolicy, argmax_by_code
@@ -37,42 +37,37 @@ from .engine import (
 from .errors import StateError
 
 T = TypeVar("T")
+_Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
 
 
-def _layers(root: GameState) -> Iterator[tuple[list[GameState], list[TerminalStatus], array, array]]:
-    """Breadth-first layers from ``root``, one per move count.
+def _layers(root: GameState) -> tuple[list[tuple[int, ...]], dict[int, list[int]], list[_Layer]]:
+    """The row graph from ``root``: ``(rows, kids, layers)``.
 
-    Yields ``(states, statuses, offsets, children)`` for each layer.  States
-    are in order of discovery and each appears once.  The children of state
-    ``i`` are ``children[offsets[i]:offsets[i + 1]]``: indices into the next
-    layer, one per legal action in encoded-action order.
-
-    Edges move through ``_step``, the unchecked rule ``apply`` shares, and a
-    layer shares one move count, so each child row is deduplicated before a
-    ``GameState`` and its status are made: once per state, not per edge.
+    ``rows[i]`` holds the cells of row id ``i``.  ``kids[i]`` lists the ids of
+    that row's children, one per legal action in encoded-action order; it is
+    built through ``_step`` once, the first time the row is live.  Layer ``d``
+    is ``(ids, statuses)``: the distinct rows at move count
+    ``root.moves_played + d`` in order of discovery, and each state's status
+    from ``status_of``.  The next layer is the children of the live rows,
+    first seen first.
     """
-    states, statuses = [root], [status_of(root)]
-    while states:
-        moves = states[0].moves_played + 1
-        index: dict[tuple[int, ...], int] = {}
-        below: list[GameState] = []
-        below_statuses: list[TerminalStatus] = []
-        offsets, children = array("I", [0]), array("I")
-        for state, status in zip(states, statuses):
-            if status is ONGOING:
-                cells = state.cells
-                for action in _row_actions(len(cells)):
-                    row = _step(cells, action.index, action.op)
-                    i = index.get(row)
-                    if i is None:
-                        i = index[row] = len(below)
-                        child = GameState(row, moves)
-                        below.append(child)
-                        below_statuses.append(status_of(child))
-                    children.append(i)
-            offsets.append(len(children))
-        yield states, statuses, offsets, children
-        states, statuses = below, below_statuses
+    ids: dict[tuple[int, ...], int] = {root.cells: 0}
+    kids: dict[int, list[int]] = {}
+    layers: list[_Layer] = []
+    layer, moves = [0], root.moves_played
+    while layer:
+        rows = list(ids)  # row i is the i-th key: a dict keeps insertion order
+        statuses = [status_of(GameState(rows[i], moves)) for i in layer]
+        live = [i for i, status in zip(layer, statuses) if status is ONGOING]
+        for i in live:
+            if i not in kids:
+                cells = rows[i]
+                steps = (_step(cells, a.index, a.op) for a in _row_actions(len(cells)))
+                kids[i] = [ids.setdefault(row, len(ids)) for row in steps]
+        layers.append((layer, statuses))
+        layer = list(dict.fromkeys(chain.from_iterable([kids[i] for i in live])))
+        moves += 1
+    return list(ids), kids, layers
 
 
 @dataclass
@@ -92,9 +87,12 @@ class Reachable:
 
 def reachable_states(root: GameState | None = None) -> Reachable:
     """Breadth-first closure; children are discovered in encoded-action order."""
+    root = root if root is not None else initial_state()
+    rows, _, layers = _layers(root)
     reach = Reachable(ongoing=[], terminal=[])
-    for states, statuses, _, _ in _layers(root if root is not None else initial_state()):
-        for state, status in zip(states, statuses):
+    for moves, (ids, statuses) in enumerate(layers, root.moves_played):
+        for i, status in zip(ids, statuses):
+            state = GameState(rows[i], moves)
             if status is ONGOING:
                 reach.ongoing.append(state)
             else:
@@ -109,19 +107,20 @@ def _backward(
 
     A terminal state is worth ``leaf(status)``.  A live state is worth
     ``node(layer, values)``: its distance from the root and its children's
-    values in encoded-action order.
+    values in encoded-action order, read by row id from the layer below.
     """
-    # each layer's states go as soon as they have keys; the graph keeps indices
-    graph = [([state_key(s) for s in states], *rest) for states, *rest in _layers(root)]
-    below: list[T] = []
-    for layer in range(len(graph) - 1, -1, -1):
-        keys, statuses, offsets, children = graph.pop()
-        here: list[T] = []
-        for key, status, start, end in zip(keys, statuses, offsets, offsets[1:]):
+    rows, kids, layers = _layers(root)
+    # a row's key prefix comes from state_key once; each state appends its move count
+    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
+    below: dict[int, T] = {}
+    for layer in range(len(layers) - 1, -1, -1):
+        ids, statuses = layers.pop()
+        moves = str(root.moves_played + layer)
+        here: dict[int, T] = {}
+        for i, status in zip(ids, statuses):
             live = status is ONGOING
-            value = node(layer, [below[c] for c in children[start:end]]) if live else leaf(status)
-            here.append(value)
-            yield key, value
+            value = here[i] = node(layer, [below[c] for c in kids[i]]) if live else leaf(status)
+            yield prefixes[i] + moves, value
         below = here
 
 

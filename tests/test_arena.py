@@ -130,6 +130,8 @@ def test_record_before_any_game_is_rejected(tmp_path, kind):
         ("ply", "game", 42, "ply record for game 42 inside game 1"),
         ("game", "game", "one", "game must be int"),
         ("game", "seed", "not-a-seed", "seed must be int"),
+        ("game", "p0", 7, "p0 must be str"),
+        ("game", "p1", None, "p1 must be str"),
     ],
 )
 def test_transcript_records_must_agree_with_their_game(tmp_path, where, field, value, message):
@@ -186,11 +188,14 @@ def test_transcript_cells_must_be_plain_ints(tmp_path, field, cells):
         ("action_text", 3),
         ("action_text", None),
         ("action_text", ["DRAIN", 1]),
+        ("annotation", ["x"]),
+        ("annotation", "fallback"),
     ],
 )
 def test_transcript_ply_fields_are_type_checked(tmp_path, field, value):
     # an "action": "3" used to read cleanly and then fail in verify_record
-    # with a bare TypeError
+    # with a bare TypeError; an "annotation": ["x"] in summarize_record with
+    # a bare AttributeError
     record = play_game(RandomAgent(), RandomAgent(), seed=0)
     path = tmp_path / "games.jsonl"
     write_transcripts([record], str(path))

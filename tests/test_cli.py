@@ -131,6 +131,18 @@ class TestReplayAndClassify:
         assert run("replay", tmp_path / "ghost.jsonl") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind, field, value", [("game", "p0", 7), ("ply", "annotation", ["x"])])
+    def test_classify_rejects_mistyped_fields(self, transcripts, tmp_path, capsys, kind, field, value):
+        # both used to read cleanly, then end in a bare AttributeError traceback
+        lines = transcripts.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == kind)
+        obj = json.loads(lines[lineno])
+        obj[field] = value
+        lines[lineno] = json.dumps(obj)
+        transcripts.write_text("\n".join(lines) + "\n")
+        assert run("classify", transcripts, "-o", tmp_path / "c") == 2
+        assert f"line {lineno + 1}: {field} must be" in capsys.readouterr().err
+
     def test_classify_prints_a_histogram(self, transcripts, tmp_path, capsys):
         out = tmp_path / "c"
         assert run("classify", transcripts, "-o", out) == 0

@@ -71,26 +71,44 @@ def test_reachable_order_is_frozen():
 
 
 def test_every_graph_edge_matches_the_checked_apply():
-    # the graph moves through the engine's unchecked step; every edge of every
-    # layer must be what the public, checked apply gives for that action
+    # the graph moves through the engine's unchecked step, once per live row;
+    # every edge of every live state must be what the public, checked apply
+    # gives for that action, at that state's own move count
     states = edges = 0
-    layers = [*_layers(initial_state()), ([], [], None, None)]
-    for (layer, statuses, offsets, children), (below, below_statuses, _, _) in pairwise(layers):
-        for i, (state, status) in enumerate(zip(layer, statuses)):
+    rows, kids, layers = _layers(initial_state())
+    for moves, ((ids, statuses), (below, below_statuses)) in enumerate(pairwise([*layers, ([], [])])):
+        assert len(set(ids)) == len(ids)  # a layer holds each row once
+        status_below = dict(zip(below, below_statuses))
+        for i, status in zip(ids, statuses):
+            state = GameState(rows[i], moves)
             assert status is status_of(state)
-            kids = children[offsets[i] : offsets[i + 1]]
             if status.is_terminal:
-                assert len(kids) == 0
                 continue
             states += 1
             actions = legal_actions(state)
-            assert len(kids) == len(actions)
-            for c, action in zip(kids, actions):
+            assert len(kids[i]) == len(actions)
+            for c, action in zip(kids[i], actions):
                 child, child_status = apply(state, action)
-                assert below[c] == child  # same cells and moves_played
-                assert below_statuses[c] is child_status
+                assert rows[c] == child.cells
+                assert status_below[c] is child_status  # the child sits in the next layer
                 edges += 1
     assert (states, edges) == (8410, 74108)
+
+
+def test_graph_steps_each_live_row_once(monkeypatch):
+    # the children of a state depend only on its row, so a row live at many
+    # move counts is stepped once: 15,048 steps for the 1,711 distinct live
+    # rows, not one per edge of each of the 8,410 live states (74,108)
+    calls = 0
+
+    def counting_step(cells, index, op):
+        nonlocal calls
+        calls += 1
+        return flux.engine._step(cells, index, op)
+
+    monkeypatch.setattr(flux.solver, "_step", counting_step)
+    reachable_states()
+    assert calls == 15048
 
 
 def test_graph_classifies_each_reachable_state_once(monkeypatch):
