@@ -21,22 +21,8 @@ import sys
 from datetime import datetime, timezone
 
 from .agents import RandomSource
-from .arena import (
-    ALL_TAGS,
-    MatchupSpec,
-    Role,
-    agent_factory,
-    classify_failure,
-    compute_ci,
-    read_transcripts,
-    run_benchmark,
-    run_matchup,
-    verify_record,
-    write_stats_csv,
-)
-from .engine import apply, initial_state, role_to_move, state_key, status_of
+from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
 from .errors import ConfigError, FormatError
-from .llm import INSTRUCTION, parse_reply, render_observation
 from .qlearn import TrainConfig, final_epsilon, save_qtable, train, write_curve
 from .solver import default_solved, export_solved, random_win_prob, random_win_table
 
@@ -116,6 +102,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _print_matchup(label: str, stats) -> None:
+    from .arena import compute_ci
     lo0, hi0 = compute_ci(stats.wins_p0, stats.games)
     lo1, hi1 = compute_ci(stats.wins_p1, stats.games)
     print(f"{label}: {stats.games} games")
@@ -141,6 +128,7 @@ def _print_matchup(label: str, stats) -> None:
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
+    from .arena import MatchupSpec, run_matchup, write_stats_csv
     label = args.label or f"{args.p0} vs {args.p1}"
     spec = MatchupSpec(p0=args.p0, p1=args.p1, games=args.games, base_seed=args.seed, label=label)
     transcript_path = None
@@ -176,6 +164,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    from .arena import run_benchmark, write_stats_csv
     report = run_benchmark(args.q_shrinker, args.q_amplifier, games=args.games, base_seed=args.seed)
     text = report.to_text()
     print(text)
@@ -202,6 +191,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_play(args: argparse.Namespace) -> int:
+    from .arena import agent_factory
+    from .llm import INSTRUCTION, parse_reply, render_observation
     human_role = Role(args.role)
     opponent = agent_factory(args.opponent)(args.seed)
     rng = RandomSource(args.seed)
@@ -238,6 +229,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    from .arena import read_transcripts, verify_record
     records = read_transcripts(args.transcript)
     problems: list[str] = []
     for record in records:
@@ -252,6 +244,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .arena import ALL_TAGS, classify_failure, read_transcripts
     records = read_transcripts(args.transcript)
     solved = default_solved()
     histogram = {tag: 0 for tag in ALL_TAGS}

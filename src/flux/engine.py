@@ -47,6 +47,7 @@ class Op(Enum):
 # the ply loops load these through module names: Role.X or Op.X is a slow
 # load on 3.11, whose EnumType defines __getattr__
 _SHRINKER, _AMPLIFIER = Role.SHRINKER, Role.AMPLIFIER
+_ROLES = (_SHRINKER, _AMPLIFIER)  # by player_index
 _AMPLIFY, _DRAIN = Op.AMPLIFY, Op.DRAIN
 
 
@@ -136,10 +137,15 @@ def status_of(state: GameState) -> TerminalStatus:
     return ONGOING
 
 
+def _seat_to_move(moves_played: int) -> int:
+    """The mover's ``player_index``, unchecked: the shrinker moves first, then turns alternate."""
+    return moves_played % 2
+
+
 def role_to_move(state: GameState) -> Role:
     if status_of(state) is not ONGOING:
         raise StateError(f"game over in state {state_key(state)!r}; nobody moves")
-    return _SHRINKER if state.moves_played % 2 == 0 else _AMPLIFIER
+    return _ROLES[_seat_to_move(state.moves_played)]
 
 
 @cache  # rows never grow, so play fills one entry per length up to len(INITIAL_CELLS)

@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 
 from .agents import RandomSource, random_policy
 from .engine import (
+    _ROLES,
     ONGOING,
+    GameState,
     Role,
-    apply,
-    decode_action,
+    _row_actions,
+    _seat_to_move,
+    _step,
     initial_state,
-    role_to_move,
     state_from_key,
     state_key,
     status_of,
@@ -32,10 +36,10 @@ MODE_SHRINKER_VS_RANDOM = 1
 MODE_AMPLIFIER_VS_RANDOM = 2
 MODE_SELF_PLAY = 3
 
-_LEARNERS_BY_MODE = {
-    MODE_SHRINKER_VS_RANDOM: (Role.SHRINKER,),
-    MODE_AMPLIFIER_VS_RANDOM: (Role.AMPLIFIER,),
-    MODE_SELF_PLAY: (Role.SHRINKER, Role.AMPLIFIER),
+_LEARNS_BY_MODE = {  # whether each seat's table updates
+    MODE_SHRINKER_VS_RANDOM: (True, False),
+    MODE_AMPLIFIER_VS_RANDOM: (False, True),
+    MODE_SELF_PLAY: (True, True),
 }
 
 
@@ -126,7 +130,11 @@ def q_update(
     """One Bellman backup.  ``next_key=None`` marks a terminal transition (bootstrap 0)."""
     target = reward
     if next_key is not None:
-        target += cfg.gamma * max(q.value(next_key, c) for c in next_legal_codes)
+        row = q.entries.get(next_key, {})  # a stored row holds only legal codes
+        best = max(row.values(), default=0.0)
+        if len(row) < len(next_legal_codes):  # an absent legal code is worth 0.0
+            best = max(best, 0.0)
+        target += cfg.gamma * best
     row = q.entries.setdefault(key, {})
     old = row.get(a_code, 0.0)
     row[a_code] = old + cfg.alpha * (target - old)
@@ -146,43 +154,37 @@ def run_episode(
     cfg: TrainConfig,
     rng: RandomSource,
 ) -> EpisodeResult:
-    """Play one training game, updating whichever tables the mode marks as learners."""
-    learners = _LEARNERS_BY_MODE[mode]
-    tables = {Role.SHRINKER: q_shrinker, Role.AMPLIFIER: q_amplifier}
+    """Play one training game, updating whichever tables the mode marks as learners.
+
+    A ply is one ``_step`` and one ``status_of``; a seat indexes the tables by ``player_index``.
+    """
+    learns = _LEARNS_BY_MODE[mode]
+    tables = (q_shrinker, q_amplifier)
     eps = epsilon_at(episode_idx, cfg)
 
-    state = initial_state()
-    status = None
-    pending: dict[Role, tuple[str, int]] = {}
-    plies = 0
-    while True:
-        role = role_to_move(state)
-        n_codes = 2 * len(state.cells)
-        if role in learners:
-            table = tables[role]
-            key = state_key(state)
-            if role in pending:
-                pk, pc = pending[role]
-                q_update(table, pk, pc, cfg.reward_step, key, range(n_codes), cfg)
+    state, status = initial_state(), ONGOING
+    pending: list[tuple[str, int] | None] = [None, None]  # each seat's last (key, code)
+    while status is ONGOING:
+        seat = _seat_to_move(state.moves_played)
+        if learns[seat]:
+            table, key, n_codes = tables[seat], state_key(state), 2 * len(state.cells)
+            if pending[seat]:
+                q_update(table, *pending[seat], cfg.reward_step, key, range(n_codes), cfg)
             # One draw decides explore vs exploit; a second picks the move
             # only when exploring.
-            if rng.random() < eps:
-                code = rng.randrange(n_codes)
-            else:
-                code = table.best_code(key, n_codes)
-            pending[role] = (key, code)
-            action = decode_action(code, len(state.cells))
+            code = rng.randrange(n_codes) if rng.random() < eps else table.best_code(key, n_codes)
+            pending[seat] = (key, code)
+            action = _row_actions(len(state.cells))[code]
         else:
             action = random_policy(state, rng)
-        state, status = apply(state, action)
-        plies += 1
-        if status.is_terminal:
-            break
+        state = GameState(_step(state.cells, action.index, action.op), state.moves_played + 1)
+        status = status_of(state)
 
-    for role, (pk, pc) in pending.items():
-        reward = cfg.reward_win if status.winner is role else cfg.reward_loss
-        q_update(tables[role], pk, pc, reward, None, (), cfg)
-    return EpisodeResult(winner=status.winner, plies=plies)
+    for role, table, last in zip(_ROLES, tables, pending):
+        if last:
+            reward = cfg.reward_win if status.winner is role else cfg.reward_loss
+            q_update(table, *last, reward, None, (), cfg)
+    return EpisodeResult(winner=status.winner, plies=state.moves_played)
 
 
 @dataclass
@@ -196,13 +198,57 @@ class CurvePoint:
     states_amplifier: int
 
 
-def train(cfg: TrainConfig) -> tuple[QTable, QTable, list[CurvePoint]]:
+class Curve(Sequence):
+    """The training curve: one flat ``array`` column per ``CurvePoint`` field.
+
+    ``winner`` is stored as its ``player_index``, and a ``CurvePoint`` is
+    built only when it is read, so a point costs a few dozen bytes, not an
+    object with a dict.  Like a list of points, a curve compares equal to
+    any sequence of the same points.
+    """
+
+    def __init__(self) -> None:
+        # episode, mode, epsilon, winner's seat, plies (at most 15), states per table
+        self.columns = tuple(array(code) for code in "IBdBBII")
+
+    def append(self, point: CurvePoint) -> None:
+        fields = dict(vars(point), winner=point.winner.player_index)
+        for column, value in zip(self.columns, fields.values()):
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index: int | slice) -> CurvePoint | Curve:
+        if isinstance(index, slice):
+            part = Curve()
+            part.columns = tuple(column[index] for column in self.columns)
+            return part
+        return _curve_point([column[index] for column in self.columns])
+
+    def __iter__(self) -> Iterator[CurvePoint]:
+        return map(_curve_point, zip(*self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _curve_point(fields: Iterable) -> CurvePoint:
+    """A point from its column values, ``winner`` read back from its seat."""
+    point = CurvePoint(*fields)
+    point.winner = _ROLES[point.winner]
+    return point
+
+
+def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
     cfg.validate()
     rng = RandomSource(cfg.seed)
     digest = cfg.digest()
     q_shrinker = QTable(Role.SHRINKER, episodes=cfg.episodes, config_digest=digest)
     q_amplifier = QTable(Role.AMPLIFIER, episodes=cfg.episodes, config_digest=digest)
-    curve: list[CurvePoint] = []
+    curve = Curve()
     for episode in range(cfg.episodes):
         mode = mode_for_episode(episode, cfg)
         result = run_episode(mode, q_shrinker, q_amplifier, episode, cfg, rng)
@@ -309,12 +355,11 @@ def load_qtable(path: str) -> QTable:
 CURVE_HEADER = "episode,mode,epsilon,winner,plies,states_shrinker,states_amplifier"
 
 
-def write_curve(points: list[CurvePoint], path: str) -> None:
-    lines = [CURVE_HEADER]
-    for p in points:
-        lines.append(
-            f"{p.episode},{p.mode},{p.epsilon!r},{p.winner.value},"
-            f"{p.plies},{p.states_shrinker},{p.states_amplifier}"
-        )
+def write_curve(points: Iterable[CurvePoint], path: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CURVE_HEADER + "\n")
+        fh.writelines(
+            f"{p.episode},{p.mode},{p.epsilon!r},{p.winner.value},"
+            f"{p.plies},{p.states_shrinker},{p.states_amplifier}\n"
+            for p in points
+        )

@@ -12,6 +12,7 @@ probability under uniform random play, in double precision or exact.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,6 +185,12 @@ def random_win_table(root: GameState | None = None, exact: bool = False) -> dict
     zero: float | Fraction = Fraction(0) if exact else 0.0
 
     def mean(layer: int, outcomes: list[float | Fraction]) -> float | Fraction:
+        if exact:  # over one common denominator: one gcd per state, not one per child
+            lcd = 1
+            for p in outcomes:  # not lcm(*...), whose shrunk argument tuples pile up on free lists
+                lcd = math.lcm(lcd, p.denominator)
+            total = sum(p.numerator * (lcd // p.denominator) for p in outcomes)
+            return Fraction(total, lcd * len(outcomes))
         total = zero  # one by one in encoded-action order; sum() rounds differently on 3.12+
         for p in outcomes:
             total = total + p

@@ -25,6 +25,7 @@ from flux.llm import (
     parse_reply,
     render_observation,
 )
+from flux.qlearn import QTable, save_qtable
 
 
 class TestRendering:
@@ -259,20 +260,28 @@ def _fresh_python(code: str, *args: str) -> list:
     return json.loads(out.stdout)
 
 
-def test_offline_play_never_loads_the_http_stack():
+def test_offline_play_never_loads_the_http_stack(tmp_path):
+    table = QTable(Role.SHRINKER, entries={"2,1,3,1,2|0": {3: 0.5}})
+    save_qtable(table, str(tmp_path / "q.txt"))
     code = f"""
 import json, sys
 import flux.cli
-from flux.arena import MatchupSpec, run_matchup
-from flux.llm import LlmAgent, ScriptedBackend
+from flux.qlearn import load_qtable
 from flux.solver import default_solved
 
+# solving, training and table files need neither matches nor chat models
 default_solved()
+load_qtable(sys.argv[1])
+lazy = [m for m in ("flux.arena", "flux.llm") if m in sys.modules]
+
+from flux.arena import MatchupSpec, run_matchup
+from flux.llm import LlmAgent, ScriptedBackend
+
 spec = MatchupSpec(lambda seed: LlmAgent(ScriptedBackend(["DRAIN 0"] * 8)), "random", games=4)
 assert run_matchup(spec).games == 4
-print(json.dumps([m for m in {OFFLINE_UNUSED!r} if m in sys.modules]))
+print(json.dumps([lazy, [m for m in {OFFLINE_UNUSED!r} if m in sys.modules]]))
 """
-    assert _fresh_python(code) == []
+    assert _fresh_python(code, str(tmp_path / "q.txt")) == [[], []]
 
 
 def test_first_http_request_loads_the_client(chat_server):

@@ -5,7 +5,9 @@ The numeric cases were computed by hand from the update rule
 here, so the implementation is checked against independent arithmetic.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,8 @@ from flux.engine import Role, state_from_key
 from flux.errors import ConfigError, FormatError
 from flux.qlearn import (
     CURVE_HEADER,
+    Curve,
+    CurvePoint,
     QTable,
     TrainConfig,
     epsilon_at,
@@ -281,3 +285,51 @@ class TestSerialization:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1" and first[2] == "1.0"
+
+
+class TestCurve:
+    def test_indexing_reads_points_like_a_list(self):
+        _, _, curve = train(TrainConfig(episodes=10, seed=3))
+        assert isinstance(curve, Curve) and len(curve) == 10
+        assert curve[-1] == curve[9] and curve[-1].episode == 9
+        assert curve[0] == CurvePoint(0, 1, 1.0, curve[0].winner, curve[0].plies,
+                                      curve[0].states_shrinker, 0)
+        part = curve[2:8:2]
+        assert isinstance(part, Curve)
+        assert [p.episode for p in part] == [2, 4, 6]
+        assert part[-1] == curve[6]
+        for index in (10, -11):
+            with pytest.raises(IndexError):
+                curve[index]
+
+    def test_equals_a_list_of_the_same_points(self):
+        _, _, curve = train(TrainConfig(episodes=12, seed=4))
+        points = list(curve)
+        assert curve == points and points == curve
+        assert curve == tuple(points)
+        assert curve != points[:-1]
+        changed = points[:-1] + [CurvePoint(**{**points[-1].__dict__, "plies": 99})]
+        assert curve != changed
+        assert curve != "not a curve"
+
+    def test_training_curve_bytes_are_frozen(self, tmp_path):
+        # training_curve.csv of a 3,000-episode run, as the list of points wrote it
+        _, _, curve = train(TrainConfig(episodes=3000, seed=0))
+        path = tmp_path / "training_curve.csv"
+        write_curve(curve, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b3d11ea2e959ffecc9ce75826b0ada86ddb19196201fed4a2b85391007cfad79"
+        )
+
+    def test_a_point_costs_a_few_dozen_bytes(self):
+        train(TrainConfig(episodes=30, seed=0))  # fill the engine's caches first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            q_s, q_a, curve = train(TrainConfig(episodes=3000, seed=0))
+            del q_s, q_a
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a list of CurvePoint objects keeps about 235 B per point
+        assert kept / len(curve) <= 48
