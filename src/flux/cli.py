@@ -15,20 +15,20 @@ Exit codes: 0 success, 1 replay verification mismatch, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from datetime import datetime, timezone
 
 from .agents import RandomSource
 from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
 from .errors import ConfigError, FormatError
 from .qlearn import TrainConfig, final_epsilon, save_qtable, train, write_curve
-from .solver import default_solved, export_solved, random_win_prob, random_win_table
+from .solver import default_solved, export_solved, random_win_prob
 
 
 def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
     """Echo the effective configuration next to the artifacts it produced."""
+    import json  # loaded here, not at start-up: a set-up that writes no run.cfg never needs these
+    from datetime import datetime, timezone
     payload = {
         "command": command,
         "first_mover": Role.SHRINKER.value,
@@ -77,8 +77,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     solved = default_solved()
     opening = initial_state()
-    table = random_win_table()
-    p_shrinker = random_win_prob(opening, table)
+    p_shrinker = random_win_prob(opening)
     print(
         f"reachable states: shrinker to move {solved.reachable_shrinker}, "
         f"amplifier to move {solved.reachable_amplifier}"

@@ -192,7 +192,7 @@ def state_key(state: GameState) -> str:
 
 def state_from_key(key: str) -> GameState:
     cells_part, _, moves_part = key.partition("|")
-    return GameState(tuple(int(v) for v in cells_part.split(",")), int(moves_part))
+    return GameState(tuple(map(int, cells_part.split(","))), int(moves_part))
 
 
 def encode_action(action: Action) -> int:

@@ -10,7 +10,6 @@ in between.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -76,6 +75,7 @@ class TrainConfig:
 
     def digest(self) -> str:
         """Short stable fingerprint so table files say what produced them."""
+        import hashlib  # a set-up that trains nothing never loads it
         text = "|".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
         return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 

@@ -1,33 +1,37 @@
 """Exact solver: one row graph, evaluated backwards from its leaves.
 
-A state's children depend only on its row: the 16,613 states of the standard
-game hold 3,333 distinct rows, and each live row's children are found once,
-through the unchecked step ``apply`` shares.  Layers, one per move count (at
-most 15 from any root), list the rows they hold, and each state is classified
-once, by ``status_of``.  A backward pass over the layers (retrograde analysis)
-gives the winner under best play and ``depth``, the plies to the end when the
-winner hurries and the loser stalls; another gives the Shrinker's win
-probability under uniform random play, in double precision or exact.
+A state's children depend only on its row, and so does its status below the
+ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
+each live row is stepped once, through the unchecked step ``apply`` shares,
+and ``status_of`` runs once per row and once per state at the limit.  Layers,
+one per move count (at most 15 from any root), list the rows they hold.  A
+backward pass over them (retrograde analysis) gives each state one signed
+integer score, read as the winner under best play and ``depth``, the plies to
+the end when the winner hurries and the loser stalls; another gives the
+Shrinker's win probability under uniform random play, as a float or exactly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
-from typing import TypeVar
+from functools import lru_cache, reduce
+from itertools import chain, islice
+from operator import add
+from typing import TYPE_CHECKING
 
 from .agents import AgentPolicy, argmax_by_code
 from .engine import (
+    _AMPLIFIER,
+    _SHRINKER,
+    MAX_PLIES,
     ONGOING,
     Action,
     GameState,
     Role,
     TerminalStatus,
     _row_actions,
+    _seat_to_move,
     _step,
     apply,
     initial_state,
@@ -37,7 +41,9 @@ from .engine import (
 )
 from .errors import StateError
 
-T = TypeVar("T")
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
 
 
@@ -48,17 +54,22 @@ def _layers(root: GameState) -> tuple[list[tuple[int, ...]], dict[int, list[int]
     that row's children, one per legal action in encoded-action order; it is
     built through ``_step`` once, the first time the row is live.  Layer ``d``
     is ``(ids, statuses)``: the distinct rows at move count
-    ``root.moves_played + d`` in order of discovery, and each state's status
-    from ``status_of``.  The next layer is the children of the live rows,
-    first seen first.
+    ``root.moves_played + d`` in order of discovery, and each state's status,
+    its row's below the ply limit.  The next layer is the children of the
+    live rows, first seen first.
     """
-    ids: dict[tuple[int, ...], int] = {root.cells: 0}
+    ids, rows = {root.cells: 0}, []  # cells -> row id in order of discovery, and row id -> cells
     kids: dict[int, list[int]] = {}
+    row_statuses: list[TerminalStatus] = []
     layers: list[_Layer] = []
     layer, moves = [0], root.moves_played
     while layer:
-        rows = list(ids)  # row i is the i-th key: a dict keeps insertion order
-        statuses = [status_of(GameState(rows[i], moves)) for i in layer]
+        rows += islice(ids, len(rows), None)  # the rows found since the last layer
+        row_statuses += [status_of(GameState(row, 0)) for row in rows[len(row_statuses):]]
+        if moves < MAX_PLIES:  # status_of tests the move count last, after the sum and the length
+            statuses = [row_statuses[i] for i in layer]
+        else:
+            statuses = [status_of(GameState(rows[i], moves)) for i in layer]
         live = [i for i, status in zip(layer, statuses) if status is ONGOING]
         for i in live:
             if i not in kids:
@@ -68,7 +79,7 @@ def _layers(root: GameState) -> tuple[list[tuple[int, ...]], dict[int, list[int]
         layers.append((layer, statuses))
         layer = list(dict.fromkeys(chain.from_iterable([kids[i] for i in live])))
         moves += 1
-    return list(ids), kids, layers
+    return rows, kids, layers
 
 
 @dataclass
@@ -79,11 +90,8 @@ class Reachable:
     terminal: list[tuple[GameState, TerminalStatus]]
 
     def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
-        return frozenset(
-            state_key(s)
-            for s in self.ongoing
-            if role is None or role_to_move(s) is role
-        )
+        keys = (state_key(s) for s in self.ongoing if role is None or role_to_move(s) is role)
+        return frozenset(keys)
 
 
 def reachable_states(root: GameState | None = None) -> Reachable:
@@ -101,30 +109,6 @@ def reachable_states(root: GameState | None = None) -> Reachable:
     return reach
 
 
-def _backward(
-    root: GameState, leaf: Callable[[TerminalStatus], T], node: Callable[[int, list[T]], T]
-) -> Iterator[tuple[str, T]]:
-    """Yield ``(key, value)`` for every state reachable from ``root``, deepest layer first.
-
-    A terminal state is worth ``leaf(status)``.  A live state is worth
-    ``node(layer, values)``: its distance from the root and its children's
-    values in encoded-action order, read by row id from the layer below.
-    """
-    rows, kids, layers = _layers(root)
-    # a row's key prefix comes from state_key once; each state appends its move count
-    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
-    below: dict[int, T] = {}
-    for layer in range(len(layers) - 1, -1, -1):
-        ids, statuses = layers.pop()
-        moves = str(root.moves_played + layer)
-        here: dict[int, T] = {}
-        for i, status in zip(ids, statuses):
-            live = status is ONGOING
-            value = here[i] = node(layer, [below[c] for c in kids[i]]) if live else leaf(status)
-            yield prefixes[i] + moves, value
-        below = here
-
-
 @dataclass
 class SolvedGame:
     root: GameState
@@ -138,23 +122,32 @@ def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    movers = (role_to_move(root), role_to_move(root).opponent)  # the players alternate
-    counts = {Role.SHRINKER: 0, Role.AMPLIFIER: 0}
-
-    def best(layer: int, outcomes: list[tuple[Role, int]]) -> tuple[Role, int]:
-        # the mover wins as fast as it can, or else loses as slowly as it can
-        mover = movers[layer % 2]
-        counts[mover] += 1
-        win_depths = [d for w, d in outcomes if w is mover]
-        if win_depths:
-            return mover, 1 + min(win_depths)
-        return mover.opponent, 1 + max(d for _, d in outcomes)
-
-    value, depth = {}, {}
-    for key, (winner, plies) in _backward(root, lambda s: (s.winner, 0), best):
-        value[key] = winner
-        depth[key] = plies
-    return SolvedGame(root, value, depth, counts[Role.SHRINKER], counts[Role.AMPLIFIER])
+    rows, kids, layers = _layers(root)
+    # a row's key prefix comes from state_key once; each state appends its move count
+    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
+    # one score per state, from the Shrinker's side: horizon - depth if the Shrinker
+    # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
+    horizon, value, depth, below = len(layers), {}, {}, []
+    counts = [0, 0]  # live states by the mover's seat
+    for moves in reversed(range(root.moves_played, root.moves_played + len(layers))):
+        ids, statuses = layers.pop()
+        seat = _seat_to_move(moves)
+        pick = max if seat == 0 else min  # the Shrinker's best score is the highest
+        here, suffix, live = [0] * len(rows), str(moves), 0
+        for i, status in zip(ids, statuses):
+            if status is ONGOING:
+                # the fastest win, or else the slowest loss, one ply further from the end
+                s = pick(map(below.__getitem__, kids[i]))
+                s = here[i] = s - 1 if s > 0 else s + 1
+                live += 1
+            else:
+                s = here[i] = horizon if status.winner is _SHRINKER else -horizon
+            key = prefixes[i] + suffix
+            value[key] = _SHRINKER if s > 0 else _AMPLIFIER
+            depth[key] = horizon - abs(s)
+        counts[seat] += live
+        below = here
+    return SolvedGame(root, value, depth, *counts)
 
 
 def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
@@ -181,23 +174,30 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
 
 def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
     """Shrinker win probability at every reachable state when both sides play uniformly."""
-    one: float | Fraction = Fraction(1) if exact else 1.0
-    zero: float | Fraction = Fraction(0) if exact else 0.0
-
-    def mean(layer: int, outcomes: list[float | Fraction]) -> float | Fraction:
-        if exact:  # over one common denominator: one gcd per state, not one per child
-            lcd = 1
-            for p in outcomes:  # not lcm(*...), whose shrunk argument tuples pile up on free lists
-                lcd = math.lcm(lcd, p.denominator)
-            total = sum(p.numerator * (lcd // p.denominator) for p in outcomes)
-            return Fraction(total, lcd * len(outcomes))
-        total = zero  # one by one in encoded-action order; sum() rounds differently on 3.12+
-        for p in outcomes:
-            total = total + p
-        return total / len(outcomes)
-
+    if exact:
+        from fractions import Fraction  # only an exact table loads it
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
     root = root if root is not None else initial_state()
-    return dict(_backward(root, lambda s: one if s.winner is Role.SHRINKER else zero, mean))
+    rows, kids, layers = _layers(root)
+    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]  # as in solve
+    table, below = {}, []
+    for moves in reversed(range(root.moves_played, root.moves_played + len(layers))):
+        ids, statuses = layers.pop()
+        here, suffix = [zero] * len(rows), str(moves)
+        for i, status in zip(ids, statuses):
+            if status is not ONGOING:
+                p = one if status.winner is _SHRINKER else zero
+            elif exact:  # over one common denominator: one gcd per state, not one per child
+                outcomes, lcd = [below[c] for c in kids[i]], 1
+                for q in outcomes:  # not lcm(*...), whose argument tuples pile up on free lists
+                    lcd = math.lcm(lcd, q.denominator)
+                total = sum(q.numerator * (lcd // q.denominator) for q in outcomes)
+                p = Fraction(total, lcd * len(outcomes))
+            else:  # one by one in encoded-action order; sum() rounds differently on 3.12+
+                p = reduce(add, map(below.__getitem__, kids[i]), zero) / len(kids[i])
+            here[i] = table[prefixes[i] + suffix] = p
+        below = here
+    return table
 
 
 def random_win_prob(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -245,8 +246,8 @@ OFFLINE_UNUSED = HTTP_MODULES + ("concurrent.futures",)
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(flux.__file__)))
 
 
-def _fresh_python(code: str, *args: str) -> list:
-    """Run ``code`` in a new interpreter with ``flux`` importable; return its JSON output."""
+def _fresh_python(code: str, *args: str, parse=json.loads) -> list:
+    """Run ``code`` in a new interpreter with ``flux`` importable; return its parsed output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
@@ -257,7 +258,7 @@ def _fresh_python(code: str, *args: str) -> list:
         timeout=120,
         check=True,
     )
-    return json.loads(out.stdout)
+    return parse(out.stdout)
 
 
 def test_offline_play_never_loads_the_http_stack(tmp_path):
@@ -282,6 +283,29 @@ assert run_matchup(spec).games == 4
 print(json.dumps([lazy, [m for m in {OFFLINE_UNUSED!r} if m in sys.modules]]))
 """
     assert _fresh_python(code, str(tmp_path / "q.txt")) == [[], []]
+
+
+# a set-up (import the CLI, solve the game, load a table) writes no file, so it
+# needs none of the modules that writing run.cfg, fingerprinting a training
+# config or an exact random-play table use
+SETUP_UNUSED = ("json", "hashlib", "fractions", "decimal", "datetime")
+
+
+def test_setup_loads_no_module_it_does_not_use(tmp_path):
+    table = QTable(Role.SHRINKER, entries={"2,1,3,1,2|0": {3: 0.5}})
+    save_qtable(table, str(tmp_path / "q.txt"))
+    code = f"""
+import sys
+before = set(sys.modules)
+import flux.cli
+from flux.qlearn import load_qtable
+from flux.solver import default_solved
+
+default_solved()
+load_qtable(sys.argv[1])
+print(repr([m for m in {SETUP_UNUSED!r} if m in sys.modules and m not in before]))
+"""
+    assert _fresh_python(code, str(tmp_path / "q.txt"), parse=ast.literal_eval) == []
 
 
 def test_first_http_request_loads_the_client(chat_server):

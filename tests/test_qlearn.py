@@ -7,6 +7,7 @@ here, so the implementation is checked against independent arithmetic.
 
 import hashlib
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -147,6 +148,19 @@ class TestQTable:
         assert q.best_code("k|0", 10) == 2
         # an unseen state: all codes tie at zero
         assert q.best_code("other|0", 4) == 0
+
+    def test_best_code_matches_an_argmax_over_every_code(self):
+        # seeded rows with gaps, ties, negative values and -0.0, stored in
+        # random order; an absent code is worth 0.0, and 0.0 ties -0.0
+        rng = random.Random(5)
+        q = QTable(role=Role.SHRINKER)
+        for trial in range(2000):
+            n_codes = rng.choice((2, 4, 6, 8, 10))
+            codes = rng.sample(range(n_codes), rng.randint(1, n_codes))
+            values = [rng.choice((0.5, 0.25, 0.0, -0.0, -0.25, -0.5)) for _ in codes]
+            q.entries[f"{trial}|0"] = row = dict(zip(codes, values))
+            expected = max(range(n_codes), key=lambda c: (row.get(c, 0.0), -c))
+            assert q.best_code(f"{trial}|0", n_codes) == expected, row
 
 
 class TestTraining:

@@ -18,6 +18,7 @@ import pytest
 import flux.engine
 import flux.solver
 from flux.engine import (
+    MAX_PLIES,
     GameState,
     Role,
     apply,
@@ -111,10 +112,11 @@ def test_graph_steps_each_live_row_once(monkeypatch):
     assert calls == 15048
 
 
-def test_graph_classifies_each_reachable_state_once(monkeypatch):
-    # a child row is looked up before a state is made, so status_of runs once
-    # per distinct state, not once per edge; the engine's name is counted too,
-    # so a build through the public apply shows
+def test_graph_classifies_each_row_once_below_the_ply_limit(monkeypatch):
+    # below the ply limit a state's status is its row's, so status_of runs once
+    # per distinct row (3,333) and once per state only at the limit (1,685),
+    # not once per state (16,613) or per edge; the engine's name is counted
+    # too, so a build through the public apply shows
     calls = 0
 
     def counting_status_of(state):
@@ -126,7 +128,38 @@ def test_graph_classifies_each_reachable_state_once(monkeypatch):
     monkeypatch.setattr(flux.engine, "status_of", counting_status_of)
     reach = reachable_states()
     assert len(reach.ongoing) + len(reach.terminal) == 16613
-    assert calls == 16613
+    assert sum(s.moves_played == MAX_PLIES for s, _ in reach.terminal) == 1685
+    assert calls == 3333 + 1685
+
+
+def test_solve_agrees_with_a_plain_minimax(solved):
+    # an independent oracle: a memoised minimax through the public engine only,
+    # whose mover wins as fast as it can or else loses as slowly as it can
+    memo = {}
+
+    def minimax(state, status):
+        if state not in memo:
+            if status.is_terminal:
+                memo[state] = (status.winner, 0)
+            else:
+                mover = role_to_move(state)
+                outcomes = [minimax(*apply(state, a)) for a in legal_actions(state)]
+                wins = [d for w, d in outcomes if w is mover]
+                if wins:
+                    memo[state] = (mover, 1 + min(wins))
+                else:
+                    memo[state] = (mover.opponent, 1 + max(d for _, d in outcomes))
+        return memo[state]
+
+    root = initial_state()
+    minimax(root, status_of(root))
+    assert len(memo) == len(solved.value) == 16613
+    for state, (winner, plies) in memo.items():
+        key = state_key(state)
+        assert (solved.value[key], solved.depth[key]) == (winner, plies), key
+    movers = [role_to_move(s) for s in memo if not status_of(s).is_terminal]
+    assert (movers.count(Role.SHRINKER), movers.count(Role.AMPLIFIER)) == (4426, 3984)
+    assert (solved.reachable_shrinker, solved.reachable_amplifier) == (4426, 3984)
 
 
 def test_opening_is_an_amplifier_win_in_fifteen(solved):
