@@ -49,7 +49,7 @@ from .solver import OptimalAgent, SolvedGame, default_solved
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class PlyRecord:
     ply: int  # 1-based
     role: Role
@@ -62,7 +62,7 @@ class PlyRecord:
     annotation: dict | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GameRecord:
     game_id: int
     seed: int
@@ -369,10 +369,15 @@ def _read_typed(obj: dict, field: str, kind: type):
 
 
 def read_transcripts(path: str) -> list[GameRecord]:
-    """Every game in a transcript file; a record is built at its ``end`` line."""
+    """Every game in a transcript file; a record is built at its ``end`` line.
+
+    Records from one file share their immutable rows, texts and statuses,
+    so treat them as read-only values.
+    """
     records: list[GameRecord] = []
     header: tuple | None = None  # (game, seed, p0, p1) of the open game, until its end line
     plies: list[PlyRecord] = []
+    share = {}.setdefault  # share(v, v) is this file's single copy of the immutable value v
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -389,7 +394,7 @@ def read_transcripts(path: str) -> list[GameRecord]:
                         raise ValueError(f"game {header[0]} has no end record")
                     game, seed = _read_typed(obj, "game", int), _read_typed(obj, "seed", int)
                     p0, p1 = _read_typed(obj, "p0", str), _read_typed(obj, "p1", str)
-                    header, plies = (game, seed, p0, p1), []
+                    header, plies = (game, seed, share(p0, p0), share(p1, p1)), []
                 elif kind not in ("ply", "end"):
                     raise KeyError(f"unknown record type {kind!r}")
                 elif header is None:
@@ -400,16 +405,20 @@ def read_transcripts(path: str) -> list[GameRecord]:
                     annotation = obj.get("annotation")
                     if annotation is not None and type(annotation) is not dict:
                         raise ValueError(f"annotation must be an object or null, got {annotation!r}")
+                    if annotation:  # its own dict, over shared keys and string values
+                        annotation = {share(k, k): share(v, v) if type(v) is str else v for k, v in annotation.items()}
+                    before, after = _read_cells(obj, "cells_before"), _read_cells(obj, "cells_after")
+                    text = _read_typed(obj, "action_text", str)
                     plies.append(
                         PlyRecord(
                             ply=_read_typed(obj, "ply", int),
                             role=Role(obj["role"]),
-                            cells_before=_read_cells(obj, "cells_before"),
+                            cells_before=share(before, before),
                             action_code=_read_typed(obj, "action", int),
-                            action_text=_read_typed(obj, "action_text", str),
-                            cells_after=_read_cells(obj, "cells_after"),
+                            action_text=share(text, text),
+                            cells_after=share(after, after),
                             sum_after=_read_typed(obj, "sum_after", int),
-                            status=TerminalStatus.from_label(obj["status"]),
+                            status=TerminalStatus.from_label(_read_typed(obj, "status", str)),
                             annotation=annotation,
                         )
                     )
@@ -417,7 +426,7 @@ def read_transcripts(path: str) -> list[GameRecord]:
                     if _read_typed(obj, "plies", int) != len(plies):
                         raise ValueError(f"end record counts {obj['plies']} plies, {len(plies)} were read")
                     outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
-                    records.append(GameRecord(*header, plies, outcome))
+                    records.append(GameRecord(*header, plies, share(outcome, outcome)))
                     header = None
             except (KeyError, ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc

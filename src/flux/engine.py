@@ -77,18 +77,19 @@ class TerminalStatus:
 
     @classmethod
     def from_label(cls, label: str) -> "TerminalStatus":
-        if label == "ongoing":
-            return ONGOING
+        if label in _BY_LABEL:
+            return _BY_LABEL[label]
         winner, _, reason = label.partition(":")
         return cls(Role(winner), Reason(reason))
 
 
 ONGOING = TerminalStatus()
-# status_of hands out these shared values rather than a new one per call
+# status_of and from_label hand out these shared values rather than new ones
 _SUM_EXCEEDED = TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20)
 _SINGLE_CELL = TerminalStatus(Role.SHRINKER, Reason.SINGLE_CELL)
 _TIEBREAK_FEW = TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3)
 _TIEBREAK_MANY = TerminalStatus(Role.AMPLIFIER, Reason.TIEBREAK_AT_LEAST_3)
+_BY_LABEL = {s.label: s for s in (ONGOING, _SUM_EXCEEDED, _SINGLE_CELL, _TIEBREAK_FEW, _TIEBREAK_MANY)}
 
 
 @dataclass(frozen=True, slots=True)

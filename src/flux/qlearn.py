@@ -87,13 +87,6 @@ class QTable:
     episodes: int = 0
     config_digest: str = ""
 
-    def value(self, key: str, code: int) -> float:
-        """Read-only lookup; absent rows and absent actions are worth 0.0."""
-        row = self.entries.get(key)
-        if row is None:
-            return 0.0
-        return row.get(code, 0.0)
-
     def best_code(self, key: str, n_codes: int) -> int:
         """Argmax over codes 0..n_codes-1 with 0.0 defaults; ties take the lowest code."""
         row = self.entries.get(key)

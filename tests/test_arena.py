@@ -1,11 +1,13 @@
 import copy
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
-from flux.agents import HeuristicAgent, RandomAgent
-from flux.engine import GameState, Reason, Role
+from flux.agents import GreedyQAgent, HeuristicAgent, RandomAgent
+from flux.engine import GameState, Reason, Role, status_of
 from flux.errors import ConfigError, FormatError
 from flux.arena import (
     ALL_TAGS,
@@ -25,6 +27,7 @@ from flux.arena import (
     write_stats_csv,
     write_transcripts,
 )
+from flux.llm import LlmAgent, ScriptedBackend
 from flux.qlearn import save_qtable
 
 
@@ -79,6 +82,55 @@ def test_transcript_round_trip(tmp_path):
     path = tmp_path / "games.jsonl"
     write_transcripts(records, str(path))
     assert read_transcripts(str(path)) == records
+
+
+def test_read_records_share_rows_texts_and_statuses(tmp_path):
+    records = [play_game(RandomAgent(), HeuristicAgent(), seed=s, game_id=s) for s in range(20)]
+    path = tmp_path / "games.jsonl"
+    write_transcripts(records, str(path))
+    read = read_transcripts(str(path))
+    assert read == records
+    assert not hasattr(read[0].plies[0], "__dict__")
+    shared: dict = {}
+    for record in read:
+        plies = record.plies
+        for k in range(len(plies) - 1):
+            assert plies[k].cells_after is plies[k + 1].cells_before
+        for p in plies:
+            # equal rows and texts, from any game of the file, are one object
+            assert shared.setdefault(p.cells_before, p.cells_before) is p.cells_before
+            assert shared.setdefault(p.cells_after, p.cells_after) is p.cells_after
+            assert shared.setdefault(p.action_text, p.action_text) is p.action_text
+            assert p.status is status_of(GameState(p.cells_after, p.ply))
+        assert shared.setdefault(record.outcome, record.outcome) is record.outcome
+
+
+def test_read_records_stay_compact(tmp_path, small_tables):
+    # about 245 bytes a ply; 668 with a copy of each row, text, status and
+    # annotation key per ply and a __dict__ per record
+    _, q_a, _ = small_tables
+    path = tmp_path / "llm.jsonl"
+    replies = ["I refuse to answer.", "DRAIN 0"]
+
+    def noisy_llm(seed):
+        rng = random.Random(seed)
+        return LlmAgent(ScriptedBackend([rng.choice(replies) for _ in range(20)]), name="llm:noise")
+
+    spec = MatchupSpec(p0=noisy_llm, p1=lambda seed: GreedyQAgent(q_a), games=500, base_seed=0)
+    run_matchup(spec, transcript_path=str(path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = read_transcripts(str(path))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    plies = sum(len(r.plies) for r in records)
+    assert len(records) == 500
+    assert any("raw_reply" in (p.annotation or {}) for r in records for p in r.plies)
+    assert held <= 350 * plies
 
 
 def test_unreadable_transcript_reports_the_line(tmp_path):
@@ -190,6 +242,8 @@ def test_transcript_cells_must_be_plain_ints(tmp_path, field, cells):
         ("action_text", ["DRAIN", 1]),
         ("annotation", ["x"]),
         ("annotation", "fallback"),
+        ("status", 3),
+        ("status", None),
     ],
 )
 def test_transcript_ply_fields_are_type_checked(tmp_path, field, value):

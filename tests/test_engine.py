@@ -100,6 +100,22 @@ class TestStatus:
         ):
             assert TerminalStatus.from_label(status.label) == status
 
+    def test_labels_read_back_as_the_shared_values(self):
+        # the four terminal values status_of returns, plus ONGOING
+        for state in (
+            GameState((22,), 5),
+            GameState((4,), 6),
+            GameState((4, 2), 15),
+            GameState((4, 2, 1), 15),
+            GameState((2, 1, 3, 1, 2), 0),
+        ):
+            s = status_of(state)
+            assert TerminalStatus.from_label(s.label) is s
+        # a well-formed pair no rule produces still parses, to a value of its own
+        odd = TerminalStatus.from_label("shrinker:sum_exceeded_20")
+        assert odd == TerminalStatus(Role.SHRINKER, Reason.SUM_EXCEEDED_20)
+        assert odd is not TerminalStatus.from_label("shrinker:sum_exceeded_20")
+
 
 class TestApply:
     def test_amplify_doubles(self):

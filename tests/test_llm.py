@@ -182,7 +182,9 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def chat_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _Handler.requests_seen = []
     _Handler.reply_status = 200
@@ -191,6 +193,7 @@ def chat_server():
     ).encode()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:

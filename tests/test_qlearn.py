@@ -139,7 +139,7 @@ class TestUpdate:
 class TestQTable:
     def test_reads_default_to_zero_without_insertion(self):
         q = QTable(role=Role.AMPLIFIER)
-        assert q.value("nope|0", 3) == 0.0
+        assert q.best_code("nope|0", 3) == 0
         assert q.entries == {}
 
     def test_best_code_breaks_ties_low(self):
