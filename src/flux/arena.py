@@ -13,7 +13,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .agents import (
     AgentPolicy,
@@ -23,7 +23,6 @@ from .agents import (
     RandomSource,
 )
 from .engine import (
-    INITIAL_CELLS,
     Action,
     GameState,
     Op,
@@ -72,6 +71,24 @@ class GameRecord:
     outcome: TerminalStatus
 
 
+def _ply(state: GameState, action: Action, annotation: dict | None = None) -> tuple[PlyRecord, GameState]:
+    """One move, checked by ``apply``, as its record and the state it leads to; every ply is built here."""
+    role = role_to_move(state)
+    nxt, status = apply(state, action)
+    ply = PlyRecord(
+        ply=nxt.moves_played,
+        role=role,
+        cells_before=state.cells,
+        action_code=encode_action(action),
+        action_text=action.text,
+        cells_after=nxt.cells,
+        sum_after=nxt.total,
+        status=status,
+        annotation=annotation,
+    )
+    return ply, nxt
+
+
 def play_game(p0: AgentPolicy, p1: AgentPolicy, seed: int, game_id: int = 0) -> GameRecord:
     """One full game from the standard opening position; p0 is the Shrinker."""
     rng = RandomSource(seed)
@@ -84,29 +101,10 @@ def play_game(p0: AgentPolicy, p1: AgentPolicy, seed: int, game_id: int = 0) -> 
         agent = seats[role]
         agent.last_annotation = None
         action = agent.choose(state, role, rng)
-        nxt, status = apply(state, action)
-        plies.append(
-            PlyRecord(
-                ply=len(plies) + 1,
-                role=role,
-                cells_before=state.cells,
-                action_code=encode_action(action),
-                action_text=action.text,
-                cells_after=nxt.cells,
-                sum_after=nxt.total,
-                status=status,
-                annotation=agent.last_annotation,
-            )
-        )
-        state = nxt
-    return GameRecord(
-        game_id=game_id,
-        seed=seed,
-        p0_name=p0.name,
-        p1_name=p1.name,
-        plies=plies,
-        outcome=status,
-    )
+        ply, state = _ply(state, action, agent.last_annotation)
+        plies.append(ply)
+        status = ply.status
+    return GameRecord(game_id, seed, p0.name, p1.name, plies, status)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +407,12 @@ def read_transcripts(path: str) -> list[GameRecord]:
                         annotation = {share(k, k): share(v, v) if type(v) is str else v for k, v in annotation.items()}
                     before, after = _read_cells(obj, "cells_before"), _read_cells(obj, "cells_after")
                     text = _read_typed(obj, "action_text", str)
+                    ply = _read_typed(obj, "ply", int)
+                    if ply < 1:  # numbered from 1: a ply 0 would replay with the seats swapped
+                        raise ValueError(f"ply must be at least 1, got {ply}")
                     plies.append(
                         PlyRecord(
-                            ply=_read_typed(obj, "ply", int),
+                            ply=ply,
                             role=Role(obj["role"]),
                             cells_before=share(before, before),
                             action_code=_read_typed(obj, "action", int),
@@ -435,65 +436,48 @@ def read_transcripts(path: str) -> list[GameRecord]:
     return records
 
 
+def _shown(ply: PlyRecord, name: str) -> str:
+    """One field of a ply as a mismatch shows it: rows as lists, statuses as labels, roles as values."""
+    value = getattr(ply, name)
+    if type(value) is tuple:
+        value = list(value)
+    elif isinstance(value, TerminalStatus):
+        value = value.label
+    elif isinstance(value, Role):
+        value = value.value
+    return repr(value)
+
+
 def verify_record(record: GameRecord) -> list[str]:
-    """Replay a record through the rules engine; return human-readable mismatches."""
-    problems: list[str] = []
+    """Replay a record through the rules engine; return human-readable mismatches.
+
+    Each recorded code is decoded on the replayed row and its ply rebuilt by
+    ``_ply``, as in play; the two records are compared whole, and the first
+    field that differs is reported.  A record that opens at ply 1 is replayed
+    from the standard opening position.
+    """
     if not record.plies:
         return [f"game {record.game_id}: no plies recorded"]
     first = record.plies[0]
-    if first.ply == 1 and first.cells_before != INITIAL_CELLS:
-        problems.append(
-            f"game {record.game_id} ply 1: opening cells {list(first.cells_before)} "
-            f"differ from {list(INITIAL_CELLS)}"
-        )
-    state = GameState(first.cells_before, first.ply - 1)
-    expected_ply = first.ply
+    state = initial_state() if first.ply == 1 else GameState(first.cells_before, first.ply - 1)
     status = status_of(state)
     for p in record.plies:
         prefix = f"game {record.game_id} ply {p.ply}"
-        if p.ply != expected_ply:
-            problems.append(f"{prefix}: ply numbers skip (expected {expected_ply})")
-            break
         if status.is_terminal:
-            problems.append(f"{prefix}: move recorded after the game ended")
-            break
-        if p.cells_before != state.cells:
-            problems.append(
-                f"{prefix}: cells_before {list(p.cells_before)} != replayed {list(state.cells)}"
-            )
-            break
-        if p.role is not role_to_move(state):
-            problems.append(f"{prefix}: role {p.role.value} is not on turn")
-            break
+            return [f"{prefix}: move recorded after the game ended"]
         try:
-            action = decode_action(p.action_code, len(state.cells))
+            replayed, state = _ply(state, decode_action(p.action_code, len(state.cells)), p.annotation)
         except ValueError as exc:
-            problems.append(f"{prefix}: {exc}")
-            break
-        if action.text != p.action_text:
-            problems.append(f"{prefix}: action_text {p.action_text!r} != {action.text!r}")
-            break
-        state, status = apply(state, action)
-        if p.cells_after != state.cells:
-            problems.append(
-                f"{prefix}: cells_after {list(p.cells_after)} != replayed {list(state.cells)}"
-            )
-            break
-        if p.sum_after != state.total:
-            problems.append(f"{prefix}: sum_after {p.sum_after} != {state.total}")
-            break
-        if p.status != status:
-            problems.append(f"{prefix}: status {p.status.label!r} != replayed {status.label!r}")
-            break
-        expected_ply += 1
-    else:
-        if not status.is_terminal:
-            problems.append(f"game {record.game_id}: record stops before the game ends")
-        elif record.outcome != status:
-            problems.append(
-                f"game {record.game_id}: outcome {record.outcome.label!r} != replayed {status.label!r}"
-            )
-    return problems
+            return [f"{prefix}: {exc}"]
+        if replayed != p:
+            name = next(f.name for f in fields(PlyRecord) if getattr(p, f.name) != getattr(replayed, f.name))
+            return [f"{prefix}: {name} {_shown(p, name)} != replayed {_shown(replayed, name)}"]
+        status = replayed.status
+    if not status.is_terminal:
+        return [f"game {record.game_id}: record stops before the game ends"]
+    if record.outcome != status:
+        return [f"game {record.game_id}: outcome {record.outcome.label!r} != replayed {status.label!r}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +508,7 @@ def classify_failure(record: GameRecord, solved: SolvedGame | None = None) -> li
     Grammar failures (``format``) and out-of-range indices (``row_miscount``)
     come straight from the reply annotations, so moves chosen by table or
     search policies can never carry them.  ``sum_blindness`` marks a Shrinker
-    amplify that loses on the spot while a safer move existed;``myopia`` marks
+    amplify that loses on the spot while a safer move existed; ``myopia`` marks
     any non-substituted move that turns a theoretically won position into a
     lost one.
     """

@@ -326,6 +326,8 @@ def load_qtable(path: str) -> QTable:
                 raise ValueError(f"non-canonical state key {key!r}")
             if status_of(state) is not ONGOING:
                 raise ValueError(f"finished state {key!r} is never looked up")
+            if key in q.entries:
+                raise ValueError(f"repeated state key {key!r}")
             row_len = len(state.cells)
             row: dict[int, float] = {}
             for item in cells.split(";"):
@@ -338,6 +340,8 @@ def load_qtable(path: str) -> QTable:
                     raise ValueError(f"code {code} out of range for key {key!r}")
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite value for code {code}")
+                if code in row:
+                    raise ValueError(f"repeated code {code} for key {key!r}")
                 row[code] = value
         except ValueError as exc:
             raise FormatError(f"{path}: line {i + 1}: {exc}") from exc

@@ -200,12 +200,8 @@ def random_win_table(root: GameState | None = None, exact: bool = False) -> dict
     return table
 
 
-def random_win_prob(
-    state: GameState, table: dict[str, float | Fraction] | None = None, exact: bool = False
-) -> float | Fraction:
-    if table is None:
-        table = random_win_table(state, exact=exact)
-    return table[state_key(state)]
+def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
+    return random_win_table(state, exact=exact)[state_key(state)]
 
 
 def export_solved(solved: SolvedGame, path: str) -> None:

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from flux.arena import GameRecord, PlyRecord
+from flux.arena import GameRecord, _ply
 from flux.engine import (
     Role,
     apply,
-    encode_action,
     legal_actions,
     role_to_move,
     state_from_key,
@@ -46,28 +45,14 @@ def make_scripted_record():
         }
         conversations = {Role.SHRINKER: [], Role.AMPLIFIER: []}
         plies = []
-        status = status_of(state)
-        while not status.is_terminal:
+        while not status_of(state).is_terminal:
             role = role_to_move(state)
             action, annotation = llm_agent_step(
                 backends[role], conversations[role], state, role, rng
             )
-            nxt, status = apply(state, action)
-            plies.append(
-                PlyRecord(
-                    ply=state.moves_played + 1,
-                    role=role,
-                    cells_before=state.cells,
-                    action_code=encode_action(action),
-                    action_text=action.text,
-                    cells_after=nxt.cells,
-                    sum_after=nxt.total,
-                    status=status,
-                    annotation=annotation,
-                )
-            )
-            state = nxt
-        return GameRecord(game_id, seed, "scripted-s", "scripted-a", plies, status)
+            ply, state = _ply(state, action, annotation)
+            plies.append(ply)
+        return GameRecord(game_id, seed, "scripted-s", "scripted-a", plies, status_of(state))
 
     return build
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from flux.agents import GreedyQAgent, HeuristicAgent, RandomAgent
-from flux.engine import GameState, Reason, Role, status_of
+from flux.engine import GameState, Reason, Role, TerminalStatus, status_of
 from flux.errors import ConfigError, FormatError
 from flux.arena import (
     ALL_TAGS,
@@ -54,27 +54,66 @@ def test_records_replay_cleanly():
 
 
 class TestVerify:
+    # ply 3 of this game is the Shrinker's DRAIN 2 from 2,6,1,2 to 2,6,2, and
+    # ply 13 ends it with a sum past 20
     def make_record(self):
         return play_game(RandomAgent(), RandomAgent(), seed=3)
 
-    def test_tampered_cells_are_caught(self):
-        record = self.make_record()
-        bad = copy.deepcopy(record)
-        mid = len(bad.plies) // 2
-        bad.plies[mid].cells_after = (99,) + tuple(bad.plies[mid].cells_after[1:])
-        assert verify_record(bad) != []
+    def tampered(self, k, field, value):
+        bad = self.make_record()
+        setattr(bad.plies[k], field, value)
+        return verify_record(bad)
 
-    def test_truncated_record_is_caught(self):
-        record = self.make_record()
-        bad = copy.deepcopy(record)
-        bad.plies.pop()
-        assert any("before the game ends" in p for p in verify_record(bad))
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ply", 7, "game 0 ply 7: ply 7 != replayed 3"),
+            ("role", Role.AMPLIFIER, "game 0 ply 3: role 'amplifier' != replayed 'shrinker'"),
+            ("cells_before", (2, 1, 3), "game 0 ply 3: cells_before [2, 1, 3] != replayed [2, 6, 1, 2]"),
+            ("sum_after", 99, "game 0 ply 3: sum_after 99 != replayed 10"),
+            (
+                "status",
+                TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20),
+                "game 0 ply 3: status 'amplifier:sum_exceeded_20' != replayed 'ongoing'",
+            ),
+        ],
+    )
+    def test_each_tampered_field_is_named(self, field, value, message):
+        assert self.tampered(2, field, value) == [message]
+
+    def test_tampered_cells_are_caught(self):
+        problems = self.tampered(2, "cells_after", (99, 1))
+        assert problems == ["game 0 ply 3: cells_after [99, 1] != replayed [2, 6, 2]"]
 
     def test_wrong_action_text_is_caught(self):
-        record = self.make_record()
-        bad = copy.deepcopy(record)
-        bad.plies[0].action_text = "DRAIN 99"
-        assert verify_record(bad) != []
+        problems = self.tampered(0, "action_text", "DRAIN 99")
+        assert problems == ["game 0 ply 1: action_text 'DRAIN 99' != replayed 'DRAIN 1'"]
+
+    def test_opening_row_is_checked(self):
+        problems = self.tampered(0, "cells_before", (2, 1, 3, 1, 3))
+        assert problems == ["game 0 ply 1: cells_before [2, 1, 3, 1, 3] != replayed [2, 1, 3, 1, 2]"]
+
+    def test_out_of_range_action_code_is_caught(self):
+        problems = self.tampered(0, "action_code", 10)
+        assert problems == ["game 0 ply 1: action code 10 out of range for a row of 5"]
+
+    def test_move_after_the_end_is_caught(self):
+        bad = self.make_record()
+        bad.plies.append(copy.copy(bad.plies[-1]))
+        bad.plies[-1].ply = 14
+        assert verify_record(bad) == ["game 0 ply 14: move recorded after the game ended"]
+
+    def test_wrong_outcome_is_caught(self):
+        bad = self.make_record()
+        bad.outcome = TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3)
+        assert verify_record(bad) == [
+            "game 0: outcome 'shrinker:tiebreak_fewer_than_3' != replayed 'amplifier:sum_exceeded_20'"
+        ]
+
+    def test_truncated_record_is_caught(self):
+        bad = self.make_record()
+        bad.plies.pop()
+        assert verify_record(bad) == ["game 0: record stops before the game ends"]
 
 
 def test_transcript_round_trip(tmp_path):
@@ -184,6 +223,7 @@ def test_record_before_any_game_is_rejected(tmp_path, kind):
         ("game", "seed", "not-a-seed", "seed must be int"),
         ("game", "p0", 7, "p0 must be str"),
         ("game", "p1", None, "p1 must be str"),
+        ("ply", "ply", 0, "ply must be at least 1, got 0"),
     ],
 )
 def test_transcript_records_must_agree_with_their_game(tmp_path, where, field, value, message):

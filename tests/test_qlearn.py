@@ -290,6 +290,22 @@ class TestSerialization:
             load_qtable(str(path))
         assert "line 5" in str(err.value) and "finished state" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("2,1,3,1,2|0\t0=0.5\n2,1,3,1,2|0\t1=0.5\n", "repeated state key '2,1,3,1,2|0'"),
+            ("2,1|0\t1=0.5\n2,1,3,1,2|0\t0=0.5;0=-0.5\n", "repeated code 0 for key '2,1,3,1,2|0'"),
+        ],
+        ids=["key", "code"],
+    )
+    def test_repeated_key_or_code_is_an_error(self, tmp_path, body, message):
+        # save_qtable writes neither; a later entry used to overwrite the first
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + body)
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 5" in str(err.value) and message in str(err.value)
+
     def test_curve_file(self, tmp_path):
         _, _, curve = train(TrainConfig(episodes=3, seed=2))
         path = tmp_path / "curve.csv"
