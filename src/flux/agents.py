@@ -12,23 +12,22 @@ import random
 from typing import TYPE_CHECKING
 
 from .engine import (
+    _AMPLIFY,
+    _DRAIN,
+    ONGOING,
     Action,
     GameState,
     Role,
-    apply,
     decode_action,
-    legal_actions,
     state_key,
+    status_of,
 )
+from .errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .qlearn import QTable
 
 RandomSource = random.Random
-
-# How strongly the greedy heuristics value a change in row length versus a
-# change in sum.  One removed cell outweighs any single-move sum swing.
-LENGTH_WEIGHT = 10
 
 
 class AgentPolicy:
@@ -54,40 +53,32 @@ def random_policy(state: GameState, rng: RandomSource) -> Action:
     return decode_action(rng.randrange(2 * len(state.cells)), len(state.cells))
 
 
-def argmax_by_code(state: GameState, score) -> Action:
-    """Max of ``score(action)`` over legal actions; ties go to the lowest code."""
-    best_action = None
-    best_score = None
-    for action in legal_actions(state):  # already in ascending encoded order
-        s = score(action)
-        if best_score is None or s > best_score:
-            best_score = s
-            best_action = action
-    return best_action
+def _live_row(state: GameState) -> tuple[int, ...]:
+    if status_of(state) is not ONGOING:
+        raise StateError(f"game over in state {state_key(state)!r}; no legal actions")
+    return state.cells
 
 
 def heuristic_shrinker(state: GameState) -> Action:
-    """Prefer moves that delete cells; penalise any sum growth."""
+    """Prefer moves that delete cells; penalise any sum growth.
 
-    def score(action: Action) -> int:
-        nxt, _ = apply(state, action)
-        removed = len(state.cells) - len(nxt.cells)
-        growth = nxt.total - state.total
-        return LENGTH_WEIGHT * removed - max(0, growth)
-
-    return argmax_by_code(state, score)
+    One step of greedy search, scored ten per removed cell minus any sum
+    growth, ties to the lowest code.  Only draining a 1 removes a cell and no
+    drain grows the sum, so this drains the first cell holding 1, else cell 0.
+    """
+    cells = _live_row(state)
+    return Action(cells.index(1) if 1 in cells else 0, _DRAIN)
 
 
 def heuristic_amplifier(state: GameState) -> Action:
-    """Prefer moves that grow the sum; penalise losing cells."""
+    """Prefer moves that grow the sum; penalise losing cells.
 
-    def score(action: Action) -> int:
-        nxt, _ = apply(state, action)
-        removed = len(state.cells) - len(nxt.cells)
-        growth = nxt.total - state.total
-        return growth - LENGTH_WEIGHT * removed
-
-    return argmax_by_code(state, score)
+    One step of greedy search, scored by sum growth minus ten per removed
+    cell, ties to the lowest code.  Doubling a cell grows the sum by its value
+    and no drain grows it, so this doubles the first largest cell.
+    """
+    cells = _live_row(state)
+    return Action(cells.index(max(cells)), _AMPLIFY)
 
 
 class RandomAgent(AgentPolicy):

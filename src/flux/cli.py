@@ -227,24 +227,32 @@ def cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def _replayed(path: str) -> list | None:
+    """The records of a transcript file, or ``None`` after printing why it does not replay."""
     from .arena import read_transcripts, verify_record
-    records = read_transcripts(args.transcript)
-    problems: list[str] = []
-    for record in records:
-        problems.extend(verify_record(record))
+    records = read_transcripts(path)
+    problems = [p for record in records for p in verify_record(record)]
+    for p in problems:
+        print(p, file=sys.stderr)
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
         print(f"{len(problems)} mismatches across {len(records)} games", file=sys.stderr)
+        return None
+    return records
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    records = _replayed(args.transcript)
+    if records is None:
         return 1
     print(f"{len(records)} games verified; every transcript replays exactly")
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    from .arena import ALL_TAGS, classify_failure, read_transcripts
-    records = read_transcripts(args.transcript)
+    from .arena import ALL_TAGS, classify_failure
+    records = _replayed(args.transcript)  # tags only boards that happened
+    if records is None:
+        return 1
     solved = default_solved()
     histogram = {tag: 0 for tag in ALL_TAGS}
     lines: list[str] = []

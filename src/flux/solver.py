@@ -1,14 +1,16 @@
-"""Exact solver: one row graph, evaluated backwards from its leaves.
+"""Exact solver: one row graph per root, evaluated backwards from its leaves.
 
 A state's children depend only on its row, and so does its status below the
 ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
 each live row is stepped once, through the unchecked step ``apply`` shares,
 and ``status_of`` runs once per row and once per state at the limit.  Layers,
-one per move count (at most 15 from any root), list the rows they hold.  A
-backward pass over them (retrograde analysis) gives each state one signed
-integer score, read as the winner under best play and ``depth``, the plies to
-the end when the winner hurries and the loser stalls; another gives the
-Shrinker's win probability under uniform random play, as a float or exactly.
+one per move count (at most 15 from any root), list the rows they hold.
+``game_graph`` builds the graph once per root and keeps the last one; every
+exact question reads it and none changes it.  A backward pass (retrograde
+analysis) gives each state one signed integer score, read as the winner under
+best play and ``depth``, the plies to the end when the winner hurries and the
+loser stalls; another gives the Shrinker's win probability under uniform
+random play, as a float or exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
 
-from .agents import AgentPolicy, argmax_by_code
+from .agents import AgentPolicy
 from .engine import (
     _AMPLIFIER,
     _SHRINKER,
@@ -33,7 +35,6 @@ from .engine import (
     _row_actions,
     _seat_to_move,
     _step,
-    apply,
     initial_state,
     role_to_move,
     state_key,
@@ -45,18 +46,22 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
+_Graph = tuple[dict[tuple[int, ...], int], dict[int, list[int]], list[_Layer], list[str]]
 
 
-def _layers(root: GameState) -> tuple[list[tuple[int, ...]], dict[int, list[int]], list[_Layer]]:
-    """The row graph from ``root``: ``(rows, kids, layers)``.
+@lru_cache(maxsize=1)
+def game_graph(root: GameState) -> _Graph:
+    """The row graph from ``root``: ``(ids, kids, layers, prefixes)``.  Read it; never change it.
 
-    ``rows[i]`` holds the cells of row id ``i``.  ``kids[i]`` lists the ids of
-    that row's children, one per legal action in encoded-action order; it is
-    built through ``_step`` once, the first time the row is live.  Layer ``d``
-    is ``(ids, statuses)``: the distinct rows at move count
-    ``root.moves_played + d`` in order of discovery, and each state's status,
-    its row's below the ply limit.  The next layer is the children of the
-    live rows, first seen first.
+    ``ids`` maps each row's cells to its row id, in order of discovery.
+    ``kids[i]`` lists the ids of row ``i``'s children, one per legal action in
+    encoded-action order; it is built through ``_step`` once, the first time
+    the row is live.  Layer ``d`` is ``(ids, statuses)``: the distinct rows at
+    move count ``root.moves_played + d`` in order of discovery, and each
+    state's status, its row's below the ply limit.  The next layer is the
+    children of the live rows, first seen first.  ``prefixes[i]`` is the key
+    of row ``i`` up to its move count, so ``prefixes[i] + str(moves)`` is
+    ``state_key`` of that state.
     """
     ids, rows = {root.cells: 0}, []  # cells -> row id in order of discovery, and row id -> cells
     kids: dict[int, list[int]] = {}
@@ -79,7 +84,9 @@ def _layers(root: GameState) -> tuple[list[tuple[int, ...]], dict[int, list[int]
         layers.append((layer, statuses))
         layer = list(dict.fromkeys(chain.from_iterable([kids[i] for i in live])))
         moves += 1
-    return rows, kids, layers
+    # a row's key prefix comes from state_key once; each state appends its move count
+    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
+    return ids, kids, layers, prefixes
 
 
 @dataclass
@@ -97,10 +104,11 @@ class Reachable:
 def reachable_states(root: GameState | None = None) -> Reachable:
     """Breadth-first closure; children are discovered in encoded-action order."""
     root = root if root is not None else initial_state()
-    rows, _, layers = _layers(root)
+    ids, _, layers, _ = game_graph(root)
+    rows = list(ids)  # row id -> cells
     reach = Reachable(ongoing=[], terminal=[])
-    for moves, (ids, statuses) in enumerate(layers, root.moves_played):
-        for i, status in zip(ids, statuses):
+    for moves, (layer, statuses) in enumerate(layers, root.moves_played):
+        for i, status in zip(layer, statuses):
             state = GameState(rows[i], moves)
             if status is ONGOING:
                 reach.ongoing.append(state)
@@ -122,19 +130,16 @@ def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    rows, kids, layers = _layers(root)
-    # a row's key prefix comes from state_key once; each state appends its move count
-    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
+    ids, kids, layers, prefixes = game_graph(root)
     # one score per state, from the Shrinker's side: horizon - depth if the Shrinker
     # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
     horizon, value, depth, below = len(layers), {}, {}, []
     counts = [0, 0]  # live states by the mover's seat
-    for moves in reversed(range(root.moves_played, root.moves_played + len(layers))):
-        ids, statuses = layers.pop()
+    for moves, (layer, statuses) in reversed([*enumerate(layers, root.moves_played)]):
         seat = _seat_to_move(moves)
         pick = max if seat == 0 else min  # the Shrinker's best score is the highest
-        here, suffix, live = [0] * len(rows), str(moves), 0
-        for i, status in zip(ids, statuses):
+        here, suffix, live = [0] * len(ids), str(moves), 0
+        for i, status in zip(layer, statuses):
             if status is ONGOING:
                 # the fastest win, or else the slowest loss, one ply further from the end
                 s = pick(map(below.__getitem__, kids[i]))
@@ -160,16 +165,13 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     if state_key(state) not in solved.value:
         raise StateError(f"state {state_key(state)!r} was never solved (unreachable from the root)")
     mover = role_to_move(state)
-
-    def score(action: Action) -> tuple[int, int]:
-        # Winning beats losing; among wins prefer small depth, among losses
-        # prefer large depth.  A solved state's children, terminal or not,
-        # are solved too.
-        key = state_key(apply(state, action)[0])
-        d = solved.depth[key]
-        return (1, -d) if solved.value[key] is mover else (0, d)
-
-    return argmax_by_code(state, score)
+    ids, kids, _, prefixes = game_graph(solved.root)
+    keys = [prefixes[kid] + str(state.moves_played + 1) for kid in kids[ids[state.cells]]]
+    # Winning beats losing; among wins prefer small depth, among losses prefer
+    # large depth.  A solved state's children, terminal or not, are solved too.
+    scores = [(1, -solved.depth[k]) if solved.value[k] is mover else (0, solved.depth[k]) for k in keys]
+    # the keys follow encoded-action order, and max keeps the first best: the lowest code
+    return _row_actions(len(state.cells))[max(range(len(keys)), key=scores.__getitem__)]
 
 
 def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
@@ -178,13 +180,11 @@ def random_win_table(root: GameState | None = None, exact: bool = False) -> dict
         from fractions import Fraction  # only an exact table loads it
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
     root = root if root is not None else initial_state()
-    rows, kids, layers = _layers(root)
-    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]  # as in solve
+    ids, kids, layers, prefixes = game_graph(root)
     table, below = {}, []
-    for moves in reversed(range(root.moves_played, root.moves_played + len(layers))):
-        ids, statuses = layers.pop()
-        here, suffix = [zero] * len(rows), str(moves)
-        for i, status in zip(ids, statuses):
+    for moves, (layer, statuses) in reversed([*enumerate(layers, root.moves_played)]):
+        here, suffix = [zero] * len(ids), str(moves)
+        for i, status in zip(layer, statuses):
             if status is not ONGOING:
                 p = one if status.winner is _SHRINKER else zero
             elif exact:  # over one common denominator: one gcd per state, not one per child

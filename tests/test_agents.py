@@ -12,7 +12,17 @@ from flux.agents import (
     heuristic_shrinker,
     random_policy,
 )
-from flux.engine import Action, GameState, Op, encode_action, initial_state, role_to_move, state_key
+from flux.engine import (
+    Action,
+    GameState,
+    Op,
+    apply,
+    encode_action,
+    initial_state,
+    legal_actions,
+    role_to_move,
+    state_key,
+)
 from flux.errors import StateError
 from flux.qlearn import QTable, load_qtable
 from flux.engine import Role
@@ -85,6 +95,28 @@ class TestAmplifierHeuristic:
         # draining the lone 1 away would hand the Shrinker progress: score -1 - 10
         choice = heuristic_amplifier(GameState((8, 1), 3))
         assert choice == Action(0, Op.AMPLIFY)
+
+
+def test_heuristics_match_a_one_step_greedy_score_everywhere():
+    # the oracle scores every legal move through the public apply: ten per
+    # removed cell against the sum's growth (only growth counts against the
+    # Shrinker), the first best in code order winning
+    def greedy(state, shrinker):
+        best = best_score = None
+        for action in legal_actions(state):
+            nxt, _ = apply(state, action)
+            removed = len(state.cells) - len(nxt.cells)
+            growth = nxt.total - state.total
+            score = 10 * removed - max(0, growth) if shrinker else growth - 10 * removed
+            if best_score is None or score > best_score:
+                best, best_score = action, score
+        return best
+
+    live = reachable_states().ongoing
+    assert len(live) == 8410
+    for state in live:
+        assert heuristic_shrinker(state) == greedy(state, True), state
+        assert heuristic_amplifier(state) == greedy(state, False), state
 
 
 class TestGreedyQ:

@@ -143,6 +143,23 @@ class TestReplayAndClassify:
         assert run("classify", transcripts, "-o", tmp_path / "c") == 2
         assert f"line {lineno + 1}: {field} must be" in capsys.readouterr().err
 
+    def test_classify_stops_on_a_transcript_that_does_not_replay(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        run("tournament", "--p0", "random", "--p1", "random", "--games", 1, "--transcripts", "-o", out)
+        path = out / "transcripts.jsonl"
+        lines = path.read_text().splitlines()
+        ply = json.loads(lines[1])
+        assert ply["type"] == "ply" and ply["ply"] == 1
+        ply["action"] = 10
+        lines[1] = json.dumps(ply)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("classify", path, "-o", tmp_path / "c") == 1
+        captured = capsys.readouterr()
+        assert "game 0 ply 1: action code 10 out of range for a row of 5" in captured.err
+        assert "histogram" not in captured.out
+        assert not (tmp_path / "c").exists()
+
     def test_classify_prints_a_histogram(self, transcripts, tmp_path, capsys):
         out = tmp_path / "c"
         assert run("classify", transcripts, "-o", out) == 0

@@ -17,6 +17,7 @@ import pytest
 
 import flux.engine
 import flux.solver
+from flux.cli import main
 from flux.engine import (
     MAX_PLIES,
     GameState,
@@ -33,8 +34,8 @@ from flux.engine import (
 from flux.errors import StateError
 from flux.solver import (
     OptimalAgent,
-    _layers,
     export_solved,
+    game_graph,
     optimal_policy,
     random_win_prob,
     random_win_table,
@@ -76,11 +77,14 @@ def test_every_graph_edge_matches_the_checked_apply():
     # every edge of every live state must be what the public, checked apply
     # gives for that action, at that state's own move count
     states = edges = 0
-    rows, kids, layers = _layers(initial_state())
-    for moves, ((ids, statuses), (below, below_statuses)) in enumerate(pairwise([*layers, ([], [])])):
-        assert len(set(ids)) == len(ids)  # a layer holds each row once
+    ids, kids, layers, prefixes = game_graph(initial_state())
+    rows = list(ids)
+    assert [ids[row] for row in rows] == list(range(len(rows)))
+    assert prefixes == [state_key(GameState(row, 0))[:-1] for row in rows]
+    for moves, ((layer, statuses), (below, below_statuses)) in enumerate(pairwise([*layers, ([], [])])):
+        assert len(set(layer)) == len(layer)  # a layer holds each row once
         status_below = dict(zip(below, below_statuses))
-        for i, status in zip(ids, statuses):
+        for i, status in zip(layer, statuses):
             state = GameState(rows[i], moves)
             assert status is status_of(state)
             if status.is_terminal:
@@ -96,20 +100,60 @@ def test_every_graph_edge_matches_the_checked_apply():
     assert (states, edges) == (8410, 74108)
 
 
-def test_graph_steps_each_live_row_once(monkeypatch):
-    # the children of a state depend only on its row, so a row live at many
-    # move counts is stepped once: 15,048 steps for the 1,711 distinct live
-    # rows, not one per edge of each of the 8,410 live states (74,108)
-    calls = 0
+@pytest.fixture()
+def graph_steps(monkeypatch):
+    """A one-item list counting the graph's ``_step`` calls, from an empty graph cache."""
+    calls = [0]
 
     def counting_step(cells, index, op):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return flux.engine._step(cells, index, op)
 
     monkeypatch.setattr(flux.solver, "_step", counting_step)
+    game_graph.cache_clear()  # a cached graph would be read, not stepped
+    yield calls
+    game_graph.cache_clear()
+
+
+def test_graph_steps_each_live_row_once(graph_steps):
+    # the children of a state depend only on its row, so a row live at many
+    # move counts is stepped once: 15,048 steps for the 1,711 distinct live
+    # rows, not one per edge of each of the 8,410 live states (74,108)
     reachable_states()
-    assert calls == 15048
+    assert graph_steps == [15048]
+
+
+def test_solve_command_builds_the_graph_once(graph_steps, capsys):
+    # the solved table, the float table and the exact table all read one graph
+    # of the standard game: one build, not one each (45,144 steps)
+    assert main(["solve", "--rational"]) == 0
+    assert "exact value = " in capsys.readouterr().out
+    assert graph_steps == [15048]
+
+
+def test_exact_questions_leave_the_cached_graph_unchanged(solved):
+    # every reader shares the one cached value, so none may change it
+    solve()
+    random_win_table(exact=True)
+    live = reachable_states().ongoing
+    for state in random.Random(5).sample(live, 100):
+        optimal_policy(solved, state)
+    assert game_graph(initial_state()) == game_graph.__wrapped__(initial_state())
+
+
+def test_cached_graph_stays_small():
+    # the standard game's graph is kept for the life of the process
+    game_graph.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        game_graph(initial_state())
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert size <= 1.5 * 2**20
 
 
 def test_graph_classifies_each_row_once_below_the_ply_limit(monkeypatch):
@@ -126,7 +170,9 @@ def test_graph_classifies_each_row_once_below_the_ply_limit(monkeypatch):
 
     monkeypatch.setattr(flux.solver, "status_of", counting_status_of)
     monkeypatch.setattr(flux.engine, "status_of", counting_status_of)
+    game_graph.cache_clear()
     reach = reachable_states()
+    game_graph.cache_clear()
     assert len(reach.ongoing) + len(reach.terminal) == 16613
     assert sum(s.moves_played == MAX_PLIES for s, _ in reach.terminal) == 1685
     assert calls == 3333 + 1685
