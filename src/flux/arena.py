@@ -35,7 +35,6 @@ from .engine import (
     initial_state,
     legal_actions,
     role_to_move,
-    state_key,
     status_of,
 )
 from .errors import ConfigError, FormatError
@@ -534,11 +533,11 @@ def classify_failure(record: GameRecord, solved: SolvedGame | None = None) -> li
             and _had_safe_alternative(before, p.role, action)
         ):
             tags.append((p.ply, TAG_SUM_BLINDNESS))
-        if solved.value.get(state_key(before)) is p.role:
+        if solved.winner(before) is p.role:
             if p.status.is_terminal:
                 after_winner = p.status.winner
             else:
-                after_winner = solved.value.get(state_key(GameState(p.cells_after, p.ply)))
+                after_winner = solved.winner(GameState(p.cells_after, p.ply))
             if after_winner is p.role.opponent:
                 tags.append((p.ply, TAG_MYOPIA))
     return tags

@@ -9,15 +9,19 @@ one per move count (at most 15 from any root), list the rows they hold.
 exact question reads it and none changes it.  A backward pass (retrograde
 analysis) gives each state one signed integer score, read as the winner under
 best play and ``depth``, the plies to the end when the winner hurries and the
-loser stalls; another gives the Shrinker's win probability under uniform
-random play, as a float or exactly.
+loser stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer,
+and answers ``winner()`` from them; its string-keyed ``value`` and ``depth``
+tables (about 1.8 MiB for the standard game) are built on first read.  Another
+pass gives the Shrinker's win probability under uniform random play, as a
+float or exactly.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
@@ -120,39 +124,57 @@ def reachable_states(root: GameState | None = None) -> Reachable:
 @dataclass
 class SolvedGame:
     root: GameState
-    value: dict[str, Role]  # winner under optimal play, terminal states included
-    depth: dict[str, int]  # plies to the end: winner minimises, loser maximises
+    # scores[d][i]: row i's score at move count root.moves_played + d, or 0 if no such
+    # state is reachable; horizon - depth if the Shrinker wins, depth - horizon if not
+    scores: list[array]
     reachable_shrinker: int  # ongoing states with the Shrinker to move
     reachable_amplifier: int
+
+    def winner(self, state: GameState) -> Role | None:
+        """The winner under optimal play, or None if ``state`` is not reachable from the root."""
+        i, d = game_graph(self.root)[0].get(state.cells), state.moves_played - self.root.moves_played
+        s = self.scores[d][i] if i is not None and 0 <= d < len(self.scores) else 0
+        return None if s == 0 else _SHRINKER if s > 0 else _AMPLIFIER
+
+    @cached_property
+    def _tables(self) -> tuple[dict[str, Role], dict[str, int]]:
+        _, _, layers, prefixes = game_graph(self.root)
+        horizon, value, depth = len(self.scores), {}, {}
+        for d in reversed(range(horizon)):  # the deepest layer first, in the order solve met them
+            here, suffix = self.scores[d], str(self.root.moves_played + d)
+            for i in layers[d][0]:
+                key = prefixes[i] + suffix
+                value[key], depth[key] = _SHRINKER if here[i] > 0 else _AMPLIFIER, horizon - abs(here[i])
+        return value, depth
+
+    value = property(lambda self: self._tables[0], doc="winner under optimal play, terminal states included")
+    depth = property(lambda self: self._tables[1], doc="plies to the end: winner minimises, loser maximises")
 
 
 def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    ids, kids, layers, prefixes = game_graph(root)
+    ids, kids, layers, _ = game_graph(root)
     # one score per state, from the Shrinker's side: horizon - depth if the Shrinker
     # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
-    horizon, value, depth, below = len(layers), {}, {}, []
+    horizon, scores, below = len(layers), [], array("b")
     counts = [0, 0]  # live states by the mover's seat
     for moves, (layer, statuses) in reversed([*enumerate(layers, root.moves_played)]):
         seat = _seat_to_move(moves)
         pick = max if seat == 0 else min  # the Shrinker's best score is the highest
-        here, suffix, live = [0] * len(ids), str(moves), 0
+        here = array("b", bytes(len(ids)))
         for i, status in zip(layer, statuses):
             if status is ONGOING:
                 # the fastest win, or else the slowest loss, one ply further from the end
                 s = pick(map(below.__getitem__, kids[i]))
-                s = here[i] = s - 1 if s > 0 else s + 1
-                live += 1
+                here[i] = s - 1 if s > 0 else s + 1
+                counts[seat] += 1
             else:
-                s = here[i] = horizon if status.winner is _SHRINKER else -horizon
-            key = prefixes[i] + suffix
-            value[key] = _SHRINKER if s > 0 else _AMPLIFIER
-            depth[key] = horizon - abs(s)
-        counts[seat] += live
+                here[i] = horizon if status.winner is _SHRINKER else -horizon
+        scores.append(here)
         below = here
-    return SolvedGame(root, value, depth, *counts)
+    return SolvedGame(root, scores[::-1], *counts)
 
 
 def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
@@ -162,16 +184,15 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     """
     if status_of(state).is_terminal:
         raise StateError("no move to pick in a finished game")
-    if state_key(state) not in solved.value:
+    if solved.winner(state) is None:
         raise StateError(f"state {state_key(state)!r} was never solved (unreachable from the root)")
-    mover = role_to_move(state)
-    ids, kids, _, prefixes = game_graph(solved.root)
-    keys = [prefixes[kid] + str(state.moves_played + 1) for kid in kids[ids[state.cells]]]
-    # Winning beats losing; among wins prefer small depth, among losses prefer
-    # large depth.  A solved state's children, terminal or not, are solved too.
-    scores = [(1, -solved.depth[k]) if solved.value[k] is mover else (0, solved.depth[k]) for k in keys]
-    # the keys follow encoded-action order, and max keeps the first best: the lowest code
-    return _row_actions(len(state.cells))[max(range(len(keys)), key=scores.__getitem__)]
+    ids, kids, _, _ = game_graph(solved.root)
+    below = solved.scores[state.moves_played - solved.root.moves_played + 1]
+    # a solved state's children, terminal or not, are solved one layer down; a higher
+    # score is a Shrinker win, a faster one, or a slower loss; index finds the lowest code
+    scores = [below[kid] for kid in kids[ids[state.cells]]]
+    best = max(scores) if role_to_move(state) is _SHRINKER else min(scores)
+    return _row_actions(len(state.cells))[scores.index(best)]
 
 
 def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
@@ -206,11 +227,10 @@ def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
 
 def export_solved(solved: SolvedGame, path: str) -> None:
     """One line per solved state: winner and plies-to-end under best play."""
-    lines = ["#kind=solved", f"#root={state_key(solved.root)}"]
-    for key in sorted(solved.value):
-        lines.append(f"{key}\t{solved.value[key].value},{solved.depth[key]}")
+    value, depth = solved.value, solved.depth
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"#kind=solved\n#root={state_key(solved.root)}\n")
+        fh.writelines(f"{key}\t{value[key].value},{depth[key]}\n" for key in sorted(value))
 
 
 @lru_cache(maxsize=1)

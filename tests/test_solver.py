@@ -17,6 +17,8 @@ import pytest
 
 import flux.engine
 import flux.solver
+from flux.agents import RandomAgent
+from flux.arena import classify_failure, play_game
 from flux.cli import main
 from flux.engine import (
     MAX_PLIES,
@@ -34,6 +36,7 @@ from flux.engine import (
 from flux.errors import StateError
 from flux.solver import (
     OptimalAgent,
+    default_solved,
     export_solved,
     game_graph,
     optimal_policy,
@@ -50,6 +53,14 @@ OPTIMAL_MOVES_SHA256 = "209378b7118b05b4dcb4539de1ed35e40faf90983e088dbf313ab8f4
 # SHA-256 of "key\n" per live state, then "key\tlabel\n" per terminal state, in
 # the order reachable_states lists them (benchmarks pick live states by index)
 REACHABLE_ORDER_SHA256 = "241cd3ed118244431a513ed510ad81c14454650d3bbbdba14b643e6646589400"
+# SHA-256 of "key\twinner,depth\n" per entry of solve().value, in the table's own order
+SOLVED_TABLE_SHA256 = "34b6da3c5c15ac4f39b93f635ba5b347167f64c772b6e093cb90591500448dc6"
+# live states that no line of play from the opening reaches: the opening row one
+# move on, a row the game never holds, and a sub-game's root one move early (its
+# row is in the sub-game's last layer, which a negative layer index would read)
+SUB_ROOT = GameState((12, 1, 2), 5)
+UNSOLVED = (GameState((2, 1, 3, 1, 2), 1), GameState((1, 1, 1, 1, 1, 1), 0))
+BEFORE_SUB_ROOT = GameState((12, 1, 2), 4)
 
 
 def test_reachable_state_counts(solved):
@@ -231,6 +242,74 @@ def test_terminal_positions_have_depth_zero(solved):
         assert status_of(state).winner is status.winner
 
 
+def test_solved_table_entries_and_order_are_frozen():
+    # the string-keyed tables are built from the scores on first read, in the
+    # order the backward pass meets the states: the deepest layer first
+    result = solve()
+    digest = hashlib.sha256()
+    for key, winner in result.value.items():
+        digest.update(f"{key}\t{winner.value},{result.depth[key]}\n".encode())
+    assert digest.hexdigest() == SOLVED_TABLE_SHA256
+
+
+def test_winner_reads_the_scores(solved):
+    reach = reachable_states()
+    states = [*reach.ongoing, *(s for s, _ in reach.terminal)]
+    assert len(states) == 16613
+    for state in states:
+        assert solved.winner(state) is solved.value[state_key(state)]
+    for state in UNSOLVED:
+        assert solved.winner(state) is None
+    assert solved.winner(GameState(initial_state().cells, MAX_PLIES + 1)) is None  # past the last layer
+    sub = solve(SUB_ROOT)
+    assert sub.winner(SUB_ROOT) is Role.AMPLIFIER
+    assert sub.winner(BEFORE_SUB_ROOT) is None
+
+
+def test_a_solved_game_outlives_the_cached_graph(solved):
+    # a SolvedGame keeps scores by row id, not the graph; a rebuilt graph must
+    # number the rows the same way, or an earlier result would read wrong rows
+    expected_value, expected_depth = solved.value, solved.depth
+    earlier = solve()
+    live = random.Random(31).sample(reachable_states().ongoing, 300)
+    answers = [(earlier.winner(s), optimal_policy(earlier, s)) for s in live]
+    game_graph.cache_clear()
+    assert [(earlier.winner(s), optimal_policy(earlier, s)) for s in live] == answers
+    assert earlier.value == expected_value
+    assert earlier.depth == expected_depth
+    assert list(earlier.value) == list(expected_value)
+
+
+def test_solve_result_is_its_scores():
+    # with the graph cached, solve returns one byte per row and layer (57 KiB
+    # for the standard game); the string-keyed tables (1.8 MiB) wait for a read
+    game_graph(initial_state())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = solve()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert "_tables" not in vars(result)
+    assert size <= 128 * 2**10
+
+
+def test_play_and_classification_leave_the_tables_unbuilt():
+    # set-up, optimal play and failure tags read scores, not string keys
+    default_solved.cache_clear()
+    solved = default_solved()
+    for state in random.Random(9).sample(reachable_states().ongoing, 100):
+        optimal_policy(solved, state)
+    records = [play_game(OptimalAgent(), RandomAgent(), seed=s) for s in range(3)]
+    records += [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(3)]
+    tags = [tag for record in records for _, tag in classify_failure(record)]
+    assert "myopia" in tags  # a random mover throws away a won position
+    assert "_tables" not in vars(solved)
+
+
 def test_solving_twice_gives_identical_answers():
     a = solve(initial_state())
     b = solve(initial_state())
@@ -334,6 +413,12 @@ def test_optimal_policy_raises_off_the_map(solved):
         optimal_policy(solved, GameState((19, 19), 3))  # never reachable
     with pytest.raises(StateError):
         optimal_policy(solved, GameState((5,), 4))  # game already over
+    for state in UNSOLVED:
+        assert not status_of(state).is_terminal
+        with pytest.raises(StateError, match="never solved"):
+            optimal_policy(solved, state)
+    with pytest.raises(StateError, match="never solved"):
+        optimal_policy(solve(SUB_ROOT), BEFORE_SUB_ROOT)
 
 
 def test_optimal_self_play_lasts_exactly_the_solved_depth(solved):
