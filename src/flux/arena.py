@@ -1,4 +1,4 @@
-"""Match running: seeded games, transcripts, aggregate stats, and failure tagging.
+"""Match running: seeded games, matchup counters, transcripts, and failure tagging.
 
 Player 0 always sits as the Shrinker; evaluating an agent as the Amplifier is
 just a second matchup with the seats swapped.  Game ``i`` of a matchup is
@@ -13,7 +13,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .agents import (
     AgentPolicy,
@@ -107,95 +107,55 @@ def play_game(p0: AgentPolicy, p1: AgentPolicy, seed: int, game_id: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Counting
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GameSummary:
-    winner: Role
-    plies: int
-    reason: Reason
-    llm_plies: int
-    invalid: int
-    fallbacks: int
-    transport_failures: int
-
-
-def summarize_record(record: GameRecord) -> GameSummary:
-    """Per-game counters, read from the ply annotations and nowhere else."""
-    llm_plies = invalid = fallbacks = transport_failures = 0
-    for p in record.plies:
-        ann = p.annotation or {}
-        if "raw_reply" in ann:
-            llm_plies += 1
-            if ann.get("substituted"):
-                invalid += 1
-        if ann.get("fallback"):
-            fallbacks += 1
-        if ann.get("transport_failure"):
-            transport_failures += 1
-    return GameSummary(
-        winner=record.outcome.winner,
-        plies=len(record.plies),
-        reason=record.outcome.reason,
-        llm_plies=llm_plies,
-        invalid=invalid,
-        fallbacks=fallbacks,
-        transport_failures=transport_failures,
-    )
 
 
 @dataclass
 class MatchStats:
-    games: int
-    wins_p0: int
-    wins_p1: int
-    win_rate_p0: float
-    win_rate_p1: float
-    avg_moves: float
-    total_plies: int
-    llm_plies: int
-    invalid_moves: int
-    invalid_fraction: float  # share of LLM plies that had to be substituted
-    fallback_count: int
-    transport_failures: int
-    reasons: dict[str, int]
+    """A matchup's counters, which ``add`` adds up one game record at a time.
+
+    Every count comes from a record's outcome and its ply annotations: a ply
+    whose annotation holds ``raw_reply`` is an LLM ply, and its ``substituted``,
+    ``fallback`` and ``transport_failure`` flags count where truthy.  ``reasons``
+    counts games by how they ended, in the order the games first produce each
+    reason.  Rates and averages are read from the counts, never stored.
+    """
+
+    games: int = 0
+    wins_p0: int = 0
+    total_plies: int = 0
+    llm_plies: int = 0
+    invalid_moves: int = 0  # LLM plies whose reply had to be substituted
+    fallback_count: int = 0
+    transport_failures: int = 0
+    reasons: dict[str, int] = field(default_factory=dict)
+
+    def add(self, record: GameRecord) -> None:
+        self.games += 1
+        self.wins_p0 += record.outcome.winner is Role.SHRINKER
+        self.total_plies += len(record.plies)
+        reason = record.outcome.reason.value
+        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+        for p in record.plies:
+            ann = p.annotation or {}
+            if "raw_reply" in ann:
+                self.llm_plies += 1
+                self.invalid_moves += bool(ann.get("substituted"))
+            self.fallback_count += bool(ann.get("fallback"))
+            self.transport_failures += bool(ann.get("transport_failure"))
+
+    wins_p1 = property(lambda self: self.games - self.wins_p0)
+    win_rate_p0 = property(lambda self: self.wins_p0 / self.games)
+    win_rate_p1 = property(lambda self: self.wins_p1 / self.games)
+    avg_moves = property(lambda self: self.total_plies / self.games)
+    invalid_fraction = property(lambda self: self.invalid_moves / self.llm_plies if self.llm_plies else 0.0)
 
     def wins_for(self, role: Role) -> int:
         return self.wins_p0 if role is Role.SHRINKER else self.wins_p1
 
     def win_rate_for(self, role: Role) -> float:
         return self.win_rate_p0 if role is Role.SHRINKER else self.win_rate_p1
-
-
-def aggregate_stats(summaries: list[GameSummary]) -> MatchStats:
-    """Order-insensitive fold of per-game summaries."""
-    games = len(summaries)
-    if games == 0:
-        raise ValueError("no games to aggregate")
-    wins_p0 = sum(1 for s in summaries if s.winner is Role.SHRINKER)
-    total_plies = sum(s.plies for s in summaries)
-    llm_plies = sum(s.llm_plies for s in summaries)
-    invalid = sum(s.invalid for s in summaries)
-    reasons: dict[str, int] = {}
-    for s in summaries:
-        reasons[s.reason.value] = reasons.get(s.reason.value, 0) + 1
-    return MatchStats(
-        games=games,
-        wins_p0=wins_p0,
-        wins_p1=games - wins_p0,
-        win_rate_p0=wins_p0 / games,
-        win_rate_p1=(games - wins_p0) / games,
-        avg_moves=total_plies / games,
-        total_plies=total_plies,
-        llm_plies=llm_plies,
-        invalid_moves=invalid,
-        invalid_fraction=invalid / llm_plies if llm_plies else 0.0,
-        fallback_count=sum(s.fallbacks for s in summaries),
-        transport_failures=sum(s.transport_failures for s in summaries),
-        reasons=dict(sorted(reasons.items())),
-    )
 
 
 def compute_ci(wins: int, games: int) -> tuple[float, float]:
@@ -266,26 +226,26 @@ def agent_factory(identifier):
 
 
 def run_matchup(spec: MatchupSpec, transcript_path: str | None = None) -> MatchStats:
-    """Play the games in seed order, streaming each record to the transcript if one is asked for."""
+    """Play and count the games in seed order, streaming each record to the transcript if one is asked for."""
     if spec.games <= 0:
         raise ConfigError("a matchup needs at least one game")
     p0_factory = agent_factory(spec.p0)
     p1_factory = agent_factory(spec.p1)
-    summaries: list[GameSummary] = []
+    stats = MatchStats()
 
-    def records() -> Iterator[GameRecord]:
+    def played() -> Iterator[GameRecord]:
         for i in range(spec.games):
             seed = spec.base_seed + i
             record = play_game(p0_factory(seed), p1_factory(seed), seed, game_id=i)
-            summaries.append(summarize_record(record))
+            stats.add(record)
             yield record
 
     if transcript_path:
-        write_transcripts(records(), transcript_path)
+        write_transcripts(played(), transcript_path)
     else:
-        for _ in records():
+        for _ in played():
             pass
-    return aggregate_stats(summaries)
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def _print_matchup(label: str, stats) -> None:
         print(f"  q-table fallbacks {stats.fallback_count}")
     if stats.transport_failures:
         print(f"  transport failures {stats.transport_failures}")
-    print(f"  outcomes: {stats.reasons}")
+    print(f"  outcomes: {dict(sorted(stats.reasons.items()))}")
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:

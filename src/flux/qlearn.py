@@ -117,7 +117,7 @@ def q_update(
     a_code: int,
     reward: float,
     next_key: str | None,
-    next_legal_codes: range | list[int],
+    next_n_codes: int,  # the next state's count of legal codes
     cfg: TrainConfig,
 ) -> None:
     """One Bellman backup.  ``next_key=None`` marks a terminal transition (bootstrap 0)."""
@@ -125,7 +125,7 @@ def q_update(
     if next_key is not None:
         row = q.entries.get(next_key, {})  # a stored row holds only legal codes
         best = max(row.values(), default=0.0)
-        if len(row) < len(next_legal_codes):  # an absent legal code is worth 0.0
+        if len(row) < next_n_codes:  # an absent legal code is worth 0.0
             best = max(best, 0.0)
         target += cfg.gamma * best
     row = q.entries.setdefault(key, {})
@@ -162,7 +162,7 @@ def run_episode(
         if learns[seat]:
             table, key, n_codes = tables[seat], state_key(state), 2 * len(state.cells)
             if pending[seat]:
-                q_update(table, *pending[seat], cfg.reward_step, key, range(n_codes), cfg)
+                q_update(table, *pending[seat], cfg.reward_step, key, n_codes, cfg)
             # One draw decides explore vs exploit; a second picks the move
             # only when exploring.
             code = rng.randrange(n_codes) if rng.random() < eps else table.best_code(key, n_codes)
@@ -176,7 +176,7 @@ def run_episode(
     for role, table, last in zip(_ROLES, tables, pending):
         if last:
             reward = cfg.reward_win if status.winner is role else cfg.reward_loss
-            q_update(table, *last, reward, None, (), cfg)
+            q_update(table, *last, reward, None, 0, cfg)
     return EpisodeResult(winner=status.winner, plies=state.moves_played)
 
 

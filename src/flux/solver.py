@@ -10,17 +10,17 @@ exact question reads it and none changes it.  A backward pass (retrograde
 analysis) gives each state one signed integer score, read as the winner under
 best play and ``depth``, the plies to the end when the winner hurries and the
 loser stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer,
-and answers ``winner()`` from them; its string-keyed ``value`` and ``depth``
-tables (about 1.8 MiB for the standard game) are built on first read.  Another
-pass gives the Shrinker's win probability under uniform random play, as a
-float or exactly.
+with the graph they index, and answers ``winner()`` from them; its string-keyed
+``value`` and ``depth`` tables (about 1.8 MiB for the standard game) are built
+on first read.  Another pass gives the Shrinker's win probability under
+uniform random play, as a float or exactly.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, islice
 from operator import add
@@ -124,6 +124,7 @@ def reachable_states(root: GameState | None = None) -> Reachable:
 @dataclass
 class SolvedGame:
     root: GameState
+    graph: _Graph = field(repr=False, compare=False)  # game_graph(root), which the scores index
     # scores[d][i]: row i's score at move count root.moves_played + d, or 0 if no such
     # state is reachable; horizon - depth if the Shrinker wins, depth - horizon if not
     scores: list[array]
@@ -132,13 +133,13 @@ class SolvedGame:
 
     def winner(self, state: GameState) -> Role | None:
         """The winner under optimal play, or None if ``state`` is not reachable from the root."""
-        i, d = game_graph(self.root)[0].get(state.cells), state.moves_played - self.root.moves_played
+        i, d = self.graph[0].get(state.cells), state.moves_played - self.root.moves_played
         s = self.scores[d][i] if i is not None and 0 <= d < len(self.scores) else 0
         return None if s == 0 else _SHRINKER if s > 0 else _AMPLIFIER
 
     @cached_property
     def _tables(self) -> tuple[dict[str, Role], dict[str, int]]:
-        _, _, layers, prefixes = game_graph(self.root)
+        _, _, layers, prefixes = self.graph
         horizon, value, depth = len(self.scores), {}, {}
         for d in reversed(range(horizon)):  # the deepest layer first, in the order solve met them
             here, suffix = self.scores[d], str(self.root.moves_played + d)
@@ -155,7 +156,7 @@ def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    ids, kids, layers, _ = game_graph(root)
+    ids, kids, layers, _ = graph = game_graph(root)
     # one score per state, from the Shrinker's side: horizon - depth if the Shrinker
     # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
     horizon, scores, below = len(layers), [], array("b")
@@ -174,7 +175,7 @@ def solve(root: GameState | None = None) -> SolvedGame:
                 here[i] = horizon if status.winner is _SHRINKER else -horizon
         scores.append(here)
         below = here
-    return SolvedGame(root, scores[::-1], *counts)
+    return SolvedGame(root, graph, scores[::-1], *counts)
 
 
 def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
@@ -186,7 +187,7 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
         raise StateError("no move to pick in a finished game")
     if solved.winner(state) is None:
         raise StateError(f"state {state_key(state)!r} was never solved (unreachable from the root)")
-    ids, kids, _, _ = game_graph(solved.root)
+    ids, kids, _, _ = solved.graph
     below = solved.scores[state.moves_played - solved.root.moves_played + 1]
     # a solved state's children, terminal or not, are solved one layer down; a higher
     # score is a Shrinker win, a faster one, or a slower loss; index finds the lowest code

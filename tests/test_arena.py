@@ -8,13 +8,13 @@ import pytest
 
 from flux.agents import GreedyQAgent, HeuristicAgent, RandomAgent
 from flux.engine import GameState, Reason, Role, TerminalStatus, status_of
-from flux.errors import ConfigError, FormatError
+from flux.errors import ConfigError, FormatError, TransportError
 from flux.arena import (
     ALL_TAGS,
     STATS_CSV_HEADER,
+    MatchStats,
     MatchupSpec,
     agent_factory,
-    aggregate_stats,
     classify_failure,
     compute_ci,
     play_game,
@@ -22,13 +22,12 @@ from flux.arena import (
     record_to_jsonl,
     run_benchmark,
     run_matchup,
-    summarize_record,
     verify_record,
     write_stats_csv,
     write_transcripts,
 )
 from flux.llm import LlmAgent, ScriptedBackend
-from flux.qlearn import save_qtable
+from flux.qlearn import QTable, save_qtable
 
 
 def test_play_game_is_deterministic_per_seed():
@@ -288,8 +287,8 @@ def test_transcript_cells_must_be_plain_ints(tmp_path, field, cells):
 )
 def test_transcript_ply_fields_are_type_checked(tmp_path, field, value):
     # an "action": "3" used to read cleanly and then fail in verify_record
-    # with a bare TypeError; an "annotation": ["x"] in summarize_record with
-    # a bare AttributeError
+    # with a bare TypeError; an "annotation": ["x"] in MatchStats.add and
+    # classify_failure with a bare AttributeError
     record = play_game(RandomAgent(), RandomAgent(), seed=0)
     path = tmp_path / "games.jsonl"
     write_transcripts([record], str(path))
@@ -315,32 +314,32 @@ class TestStats:
         assert low == pytest.approx(0.045586062644636216, abs=1e-15)
         assert high == pytest.approx(0.6993639475573634, abs=1e-15)
 
+    @staticmethod
+    def counted(records) -> MatchStats:
+        stats = MatchStats()
+        for record in records:
+            stats.add(record)
+        return stats
+
     def test_aggregate_counts(self):
-        records = [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(8)]
-        stats = aggregate_stats([summarize_record(r) for r in records])
+        stats = self.counted(play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(8))
         assert stats.games == 8
         assert stats.wins_p0 + stats.wins_p1 == 8
         assert stats.wins_for(Role.SHRINKER) == stats.wins_p0
         assert stats.win_rate_for(Role.AMPLIFIER) == stats.wins_p1 / 8
         assert stats.avg_moves == stats.total_plies / 8
         assert sum(stats.reasons.values()) == 8
-        assert stats.llm_plies == 0 and stats.invalid_moves == 0
+        assert stats.llm_plies == 0 and stats.invalid_moves == 0 and stats.invalid_fraction == 0.0
         assert stats.fallback_count == 0 and stats.transport_failures == 0
 
     def test_aggregate_is_order_independent(self):
         records = [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(6)]
-        summaries = [summarize_record(r) for r in records]
-        shuffled = list(summaries)
+        shuffled = list(records)
         random.Random(0).shuffle(shuffled)
-        assert aggregate_stats(summaries) == aggregate_stats(shuffled)
-
-    def test_empty_aggregate_is_an_error(self):
-        with pytest.raises(ValueError):
-            aggregate_stats([])
+        assert self.counted(records) == self.counted(shuffled)
 
     def test_stats_csv_layout(self, tmp_path):
-        records = [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(4)]
-        stats = aggregate_stats([summarize_record(r) for r in records])
+        stats = self.counted(play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(4))
         path = tmp_path / "stats.csv"
         write_stats_csv([("rvr", Role.SHRINKER, stats)], str(path))
         lines = path.read_text().splitlines()
@@ -351,6 +350,52 @@ class TestStats:
         assert int(fields[2]) == stats.wins_p0
         assert int(fields[3]) == 4
         assert float(fields[4]) == pytest.approx(stats.win_rate_p0, abs=5e-7)
+
+    def test_every_counter_on_a_matchup_where_none_is_zero(self, tmp_path):
+        class FlakyBackend:
+            """Scripted replies, except that every 4th request fails in transport."""
+
+            name = "flaky"
+
+            def __init__(self):
+                self.inner = ScriptedBackend(["garbage", "DRAIN 0", "AMPLIFY 9", "drain 1"] * 5)
+                self.calls = 0
+
+            def complete(self, conversation):
+                self.calls += 1
+                if self.calls % 4 == 0:
+                    raise TransportError("connection reset")
+                return self.inner.complete(conversation)
+
+        q_amplifier = QTable(Role.AMPLIFIER, entries={"4,1,3,1,2|1": {0: 1.0}})
+        spec = MatchupSpec(
+            p0=lambda seed: LlmAgent(FlakyBackend()),
+            p1=lambda seed: GreedyQAgent(q_amplifier),
+            games=40,
+            base_seed=3,
+        )
+        path = tmp_path / "t.jsonl"
+        stats = run_matchup(spec, transcript_path=str(path))
+        counts = (stats.llm_plies, stats.invalid_moves, stats.fallback_count, stats.transport_failures)
+        assert (stats.games, stats.wins_p0, stats.total_plies) == (40, 19, 505)
+        assert counts == (266, 168, 237, 59)
+        assert stats.reasons == {
+            "single_cell": 14,
+            "sum_exceeded_20": 8,
+            "tiebreak_at_least_3": 13,
+            "tiebreak_fewer_than_3": 5,
+        }
+        assert (stats.wins_p1, stats.win_rate_p0, stats.avg_moves) == (21, 19 / 40, 505 / 40)
+        assert stats.invalid_fraction == 168 / 266
+        # the same counts, recounted by hand from the transcript
+        annotations = [p.annotation or {} for r in read_transcripts(str(path)) for p in r.plies]
+        llm = [a for a in annotations if "raw_reply" in a]
+        assert counts == (
+            len(llm),
+            sum(1 for a in llm if a.get("substituted")),
+            sum(1 for a in annotations if a.get("fallback")),
+            sum(1 for a in annotations if a.get("transport_failure")),
+        )
 
 
 class TestMatchups:

@@ -73,6 +73,15 @@ class TestTournament:
         assert len(records) == 10
         assert "games" in capsys.readouterr().out
 
+    def test_outcomes_print_in_reason_order(self, capsys):
+        # the first game ends by sum_exceeded_20, but the line lists reasons sorted
+        assert run("tournament", "--p0", "random", "--p1", "random", "--games", 20, "--seed", 0) == 0
+        outcomes = (
+            "  outcomes: {'single_cell': 4, 'sum_exceeded_20': 9, "
+            "'tiebreak_at_least_3': 4, 'tiebreak_fewer_than_3': 3}"
+        )
+        assert outcomes in capsys.readouterr().out.splitlines()
+
     def test_transcripts_flag_requires_an_output_dir(self, capsys):
         assert run("tournament", "--p0", "random", "--p1", "random", "--transcripts") == 2
         assert capsys.readouterr().err != ""

@@ -111,28 +111,28 @@ class TestModeSchedule:
 class TestUpdate:
     def test_terminal_backup(self):
         q = QTable(role=Role.SHRINKER)
-        q_update(q, "s|0", 0, 1.0, None, [], TrainConfig())
+        q_update(q, "s|0", 0, 1.0, None, 0, TrainConfig())
         # 0 + 0.2 * (1 - 0) = 0.2
         assert q.entries["s|0"][0] == 0.2
 
     def test_bootstrapped_backup(self):
         q = QTable(role=Role.SHRINKER)
         q.entries["n|1"] = {2: 1.0, 3: -0.5}
-        q_update(q, "s|0", 4, 0.0, "n|1", [2, 3], TrainConfig())
+        q_update(q, "s|0", 4, 0.0, "n|1", 2, TrainConfig())
         # target = 0 + 0.92 * max(1.0, -0.5) = 0.92; update = 0.2 * 0.92
         assert q.entries["s|0"][4] == pytest.approx(0.184, abs=1e-12)
 
     def test_unseen_next_state_bootstraps_to_zero(self):
         q = QTable(role=Role.SHRINKER)
         q.entries["s|0"] = {1: 0.3}
-        q_update(q, "s|0", 1, 0.0, "n|1", [0, 1], TrainConfig())
+        q_update(q, "s|0", 1, 0.0, "n|1", 2, TrainConfig())
         # target = 0 + 0.92 * 0 = 0; update = 0.3 + 0.2 * (0 - 0.3)
         assert q.entries["s|0"][1] == pytest.approx(0.24, abs=1e-12)
 
     def test_full_step_size_overwrites(self):
         q = QTable(role=Role.SHRINKER)
         q.entries["s|0"] = {0: -3.0}
-        q_update(q, "s|0", 0, 1.0, None, [], TrainConfig(alpha=1.0))
+        q_update(q, "s|0", 0, 1.0, None, 0, TrainConfig(alpha=1.0))
         assert q.entries["s|0"][0] == 1.0
 
 

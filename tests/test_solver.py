@@ -267,8 +267,8 @@ def test_winner_reads_the_scores(solved):
 
 
 def test_a_solved_game_outlives_the_cached_graph(solved):
-    # a SolvedGame keeps scores by row id, not the graph; a rebuilt graph must
-    # number the rows the same way, or an earlier result would read wrong rows
+    # a SolvedGame keeps the graph its scores index, so clearing the cache
+    # changes none of its answers or tables
     expected_value, expected_depth = solved.value, solved.depth
     earlier = solve()
     live = random.Random(31).sample(reachable_states().ongoing, 300)
@@ -278,6 +278,16 @@ def test_a_solved_game_outlives_the_cached_graph(solved):
     assert earlier.value == expected_value
     assert earlier.depth == expected_depth
     assert list(earlier.value) == list(expected_value)
+
+
+def test_solved_games_read_their_own_graphs(graph_steps):
+    # questions that alternate between two solved roots rebuild neither graph;
+    # read through the one-root cache, these rounds made 105,336 steps
+    full, sub = solve(), solve(GameState((4, 1, 3, 1, 2), 1))
+    graph_steps[0] = 0
+    rounds = [(full.winner(sub.root), sub.winner(sub.root), optimal_policy(full, initial_state())) for _ in range(3)]
+    assert graph_steps == [0]
+    assert rounds[0][0] is rounds[0][1] and rounds == rounds[:1] * 3
 
 
 def test_solve_result_is_its_scores():
