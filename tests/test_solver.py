@@ -55,6 +55,10 @@ OPTIMAL_MOVES_SHA256 = "209378b7118b05b4dcb4539de1ed35e40faf90983e088dbf313ab8f4
 REACHABLE_ORDER_SHA256 = "241cd3ed118244431a513ed510ad81c14454650d3bbbdba14b643e6646589400"
 # SHA-256 of "key\twinner,depth\n" per entry of solve().value, in the table's own order
 SOLVED_TABLE_SHA256 = "34b6da3c5c15ac4f39b93f635ba5b347167f64c772b6e093cb90591500448dc6"
+# SHA-256 of "key\tvalue!r\n" per entry of random_win_table(), float and exact, in
+# each table's own order: every bit of every probability, and the key order
+RANDOM_TABLE_SHA256 = "83f99c1ab8e38f78fe1141126e2fe4fa09d8e9a1a5157dfd6192750e52c3f0a0"
+RANDOM_TABLE_EXACT_SHA256 = "6676b23dba87bfcdc979de769101aea07881975e4b840356cce6ae8850d13260"
 # live states that no line of play from the opening reaches: the opening row one
 # move on, a row the game never holds, and a sub-game's root one move early (its
 # row is in the sub-game's last layer, which a negative layer index would read)
@@ -472,6 +476,15 @@ class TestRandomPlay:
             156377851717220664978677083, 534966026895360000000000000
         )
         assert abs(float(frac) - RANDOM_PLAY_SHRINKER_WIN) < 1e-12
+
+    @pytest.mark.parametrize(
+        ("exact", "expected"), [(False, RANDOM_TABLE_SHA256), (True, RANDOM_TABLE_EXACT_SHA256)]
+    )
+    def test_tables_are_frozen(self, exact, expected):
+        digest = hashlib.sha256()
+        for key, value in random_win_table(exact=exact).items():
+            digest.update(f"{key}\t{value!r}\n".encode())
+        assert digest.hexdigest() == expected
 
     def test_terminal_probabilities_are_zero_or_one(self):
         win = GameState((4,), 6)
