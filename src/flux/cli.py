@@ -19,10 +19,15 @@ import os
 import sys
 
 from .agents import RandomSource
-from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
+from .engine import Role, apply, initial_state, role_to_move, status_of
 from .errors import ConfigError, FormatError
-from .qlearn import TrainConfig, final_epsilon, save_qtable, train, write_curve
+from .qlearn import CURRICULA, TrainConfig, final_epsilon, save_qtable, train, write_curve
 from .solver import default_solved, export_solved, random_win_prob
+
+# the TrainConfig fields that `flux train` sets from flags of the same name
+_TRAIN_FLAGS = (
+    "episodes", "seed", "alpha", "gamma", "eps_start", "eps_min", "eps_decay", "curriculum", "log_every"
+)
 
 
 def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
@@ -40,23 +45,18 @@ def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
         fh.write("\n")
 
 
+def _options(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """The named options, as the keyword arguments or run.cfg entries they become."""
+    return {name: getattr(args, name) for name in names}
+
+
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = TrainConfig(
-        episodes=args.episodes,
-        seed=args.seed,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        eps_start=args.eps_start,
-        eps_min=args.eps_min,
-        eps_decay=args.eps_decay,
-        curriculum=args.curriculum,
-        log_every=args.log_every,
-    )
+    cfg = TrainConfig(**_options(args, _TRAIN_FLAGS))
     q_shrinker, q_amplifier, curve = train(cfg)
     out = _ensure_out(args.out)
     shrinker_path = os.path.join(out, "q_shrinker.txt")
@@ -82,11 +82,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"reachable states: shrinker to move {solved.reachable_shrinker}, "
         f"amplifier to move {solved.reachable_amplifier}"
     )
-    key = state_key(opening)
-    print(
-        f"opening position: {solved.value[key].value} wins under best play "
-        f"in {solved.depth[key]} plies"
-    )
+    # from the scores: the string-keyed tables are built only for -o
+    depth = len(solved.scores) - abs(solved.scores[0][0])
+    print(f"opening position: {solved.winner(opening).value} wins under best play in {depth} plies")
     print(f"shrinker win probability under uniform random play = {p_shrinker!r}")
     if args.rational:
         exact = random_win_prob(opening, exact=True)
@@ -145,17 +143,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         write_stats_csv(
             [(label, Role.SHRINKER, stats), (label, Role.AMPLIFIER, stats)], csv_path
         )
-        _write_run_cfg(
-            out,
-            "tournament",
-            {
-                "p0": args.p0,
-                "p1": args.p1,
-                "games": args.games,
-                "seed": args.seed,
-                "transcripts": bool(args.transcripts),
-            },
-        )
+        _write_run_cfg(out, "tournament", _options(args, ("p0", "p1", "games", "seed", "transcripts")))
         print(f"wrote {csv_path}")
         if transcript_path:
             print(f"wrote {transcript_path}")
@@ -174,16 +162,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         write_stats_csv(report.stats_entries(), csv_path)
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
-        _write_run_cfg(
-            out,
-            "benchmark",
-            {
-                "q_shrinker": args.q_shrinker,
-                "q_amplifier": args.q_amplifier,
-                "games": args.games,
-                "seed": args.seed,
-            },
-        )
+        _write_run_cfg(out, "benchmark", _options(args, ("q_shrinker", "q_amplifier", "games", "seed")))
         print(f"wrote {csv_path}")
         print(f"wrote {report_path}")
     return 0
@@ -282,15 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train both Q-tables and write them out")
-    p.add_argument("--episodes", type=int, default=30_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--gamma", type=float, default=0.92)
-    p.add_argument("--eps-start", type=float, default=1.0)
-    p.add_argument("--eps-min", type=float, default=0.05)
-    p.add_argument("--eps-decay", type=float, default=0.9997)
-    p.add_argument("--curriculum", choices=("roundrobin", "block"), default="roundrobin")
-    p.add_argument("--log-every", type=int, default=1)
+    defaults = TrainConfig()
+    for name in _TRAIN_FLAGS:  # each flag takes its default and its type from the config
+        default = getattr(defaults, name)
+        choices = CURRICULA if name == "curriculum" else None
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default, choices=choices)
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 

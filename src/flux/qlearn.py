@@ -31,6 +31,8 @@ from .engine import (
 )
 from .errors import ConfigError, FormatError
 
+CURRICULA = ("roundrobin", "block")  # the episode orders mode_for_episode knows
+
 MODE_SHRINKER_VS_RANDOM = 1
 MODE_AMPLIFIER_VS_RANDOM = 2
 MODE_SELF_PLAY = 3
@@ -68,7 +70,7 @@ class TrainConfig:
             raise ConfigError("need 0 <= eps_min <= eps_start <= 1")
         if not 0.0 < self.eps_decay <= 1.0:
             raise ConfigError("eps_decay must lie in (0, 1]")
-        if self.curriculum not in ("roundrobin", "block"):
+        if self.curriculum not in CURRICULA:
             raise ConfigError(f"unknown curriculum {self.curriculum!r}")
         if self.log_every < 1:
             raise ConfigError("log_every must be >= 1")

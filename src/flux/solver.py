@@ -12,8 +12,10 @@ best play and ``depth``, the plies to the end when the winner hurries and the
 loser stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer,
 with the graph they index, and answers ``winner()`` from them; its string-keyed
 ``value`` and ``depth`` tables (about 1.8 MiB for the standard game) are built
-on first read.  Another pass gives the Shrinker's win probability under
-uniform random play, as a float or exactly.
+on first read.  The same pass, with the mean of the children in place of the
+mover's best, gives the Shrinker's win probability under uniform random play,
+as a float or exactly, also by layer and row id; only ``random_win_table``,
+which returns a string-keyed dict, builds keys for it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .engine import (
 from .errors import StateError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
     from fractions import Fraction
 
 _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
@@ -139,43 +142,64 @@ class SolvedGame:
 
     @cached_property
     def _tables(self) -> tuple[dict[str, Role], dict[str, int]]:
-        _, _, layers, prefixes = self.graph
         horizon, value, depth = len(self.scores), {}, {}
-        for d in reversed(range(horizon)):  # the deepest layer first, in the order solve met them
-            here, suffix = self.scores[d], str(self.root.moves_played + d)
-            for i in layers[d][0]:
-                key = prefixes[i] + suffix
-                value[key], depth[key] = _SHRINKER if here[i] > 0 else _AMPLIFIER, horizon - abs(here[i])
+        for key, s in _by_key(self.graph, self.root.moves_played, self.scores):
+            value[key], depth[key] = _SHRINKER if s > 0 else _AMPLIFIER, horizon - abs(s)
         return value, depth
 
     value = property(lambda self: self._tables[0], doc="winner under optimal play, terminal states included")
     depth = property(lambda self: self._tables[1], doc="plies to the end: winner minimises, loser maximises")
 
 
+def _backward(graph: _Graph, moves: int, ends: tuple, node: Callable, new: Callable) -> list:
+    """One value per state of ``graph``: a fresh ``new(rows)`` per layer, root first, by row id.
+
+    ``moves`` is the root's move count.  A finished state is worth ``ends[0]`` if the
+    Shrinker won, else ``ends[1]``; a live one, ``node(seat to move, [its children's
+    values in encoded-action order])``.
+    """
+    ids, kids, layers, _ = graph
+    values, below = [], None
+    for moves, (layer, statuses) in reversed([*enumerate(layers, moves)]):
+        seat, here = _seat_to_move(moves), new(len(ids))
+        for i, status in zip(layer, statuses):
+            if status is ONGOING:
+                here[i] = node(seat, [below[c] for c in kids[i]])
+            else:
+                here[i] = ends[0] if status.winner is _SHRINKER else ends[1]
+        values.append(here)
+        below = here
+    return values[::-1]
+
+
+def _by_key(graph: _Graph, moves: int, values: list) -> Iterator[tuple[str, object]]:
+    """Each state's key and value, the deepest layer first: the order the string-keyed tables keep."""
+    _, _, layers, prefixes = graph
+    for d in reversed(range(len(layers))):
+        here, suffix = values[d], str(moves + d)
+        for i in layers[d][0]:
+            yield prefixes[i] + suffix, here[i]
+
+
+def _best(seat: int, scores: list[int]) -> int:
+    """The fastest win, or else the slowest loss, one ply further from the end."""
+    s = max(scores) if seat == 0 else min(scores)  # the Shrinker's best score is the highest
+    return s - 1 if s > 0 else s + 1
+
+
 def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    ids, kids, layers, _ = graph = game_graph(root)
+    _, _, layers, _ = graph = game_graph(root)
     # one score per state, from the Shrinker's side: horizon - depth if the Shrinker
     # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
-    horizon, scores, below = len(layers), [], array("b")
+    horizon = len(layers)
+    scores = _backward(graph, root.moves_played, (horizon, -horizon), _best, lambda n: array("b", bytes(n)))
     counts = [0, 0]  # live states by the mover's seat
-    for moves, (layer, statuses) in reversed([*enumerate(layers, root.moves_played)]):
-        seat = _seat_to_move(moves)
-        pick = max if seat == 0 else min  # the Shrinker's best score is the highest
-        here = array("b", bytes(len(ids)))
-        for i, status in zip(layer, statuses):
-            if status is ONGOING:
-                # the fastest win, or else the slowest loss, one ply further from the end
-                s = pick(map(below.__getitem__, kids[i]))
-                here[i] = s - 1 if s > 0 else s + 1
-                counts[seat] += 1
-            else:
-                here[i] = horizon if status.winner is _SHRINKER else -horizon
-        scores.append(here)
-        below = here
-    return SolvedGame(root, graph, scores[::-1], *counts)
+    for moves, (_, statuses) in enumerate(layers, root.moves_played):
+        counts[_seat_to_move(moves)] += statuses.count(ONGOING)
+    return SolvedGame(root, graph, scores, *counts)
 
 
 def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
@@ -196,34 +220,31 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     return _row_actions(len(state.cells))[scores.index(best)]
 
 
-def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
-    """Shrinker win probability at every reachable state when both sides play uniformly."""
+def _random_play(root: GameState, exact: bool) -> list[list[float | Fraction]]:
+    """The Shrinker's win probability by layer and row id when both sides play uniformly."""
     if exact:
         from fractions import Fraction  # only an exact table loads it
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+
+    def node(seat: int, outcomes: list) -> float | Fraction:
+        if not exact:  # one by one in encoded-action order; sum() rounds differently on 3.12+
+            return reduce(add, outcomes, zero) / len(outcomes)
+        lcd = 1  # over one common denominator: one gcd per state, not one per child
+        for q in outcomes:  # not lcm(*...), whose argument tuples pile up on free lists
+            lcd = math.lcm(lcd, q.denominator)
+        return Fraction(sum(q.numerator * (lcd // q.denominator) for q in outcomes), lcd * len(outcomes))
+
+    return _backward(game_graph(root), root.moves_played, (one, zero), node, lambda n: [zero] * n)
+
+
+def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
+    """Shrinker win probability at every reachable state when both sides play uniformly."""
     root = root if root is not None else initial_state()
-    ids, kids, layers, prefixes = game_graph(root)
-    table, below = {}, []
-    for moves, (layer, statuses) in reversed([*enumerate(layers, root.moves_played)]):
-        here, suffix = [zero] * len(ids), str(moves)
-        for i, status in zip(layer, statuses):
-            if status is not ONGOING:
-                p = one if status.winner is _SHRINKER else zero
-            elif exact:  # over one common denominator: one gcd per state, not one per child
-                outcomes, lcd = [below[c] for c in kids[i]], 1
-                for q in outcomes:  # not lcm(*...), whose argument tuples pile up on free lists
-                    lcd = math.lcm(lcd, q.denominator)
-                total = sum(q.numerator * (lcd // q.denominator) for q in outcomes)
-                p = Fraction(total, lcd * len(outcomes))
-            else:  # one by one in encoded-action order; sum() rounds differently on 3.12+
-                p = reduce(add, map(below.__getitem__, kids[i]), zero) / len(kids[i])
-            here[i] = table[prefixes[i] + suffix] = p
-        below = here
-    return table
+    return dict(_by_key(game_graph(root), root.moves_played, _random_play(root, exact)))
 
 
 def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
-    return random_win_table(state, exact=exact)[state_key(state)]
+    return _random_play(state, exact)[0][0]  # the root is row 0 of the first layer
 
 
 def export_solved(solved: SolvedGame, path: str) -> None:

@@ -2,11 +2,12 @@
 
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
-from flux.cli import main
-from flux.qlearn import CURVE_HEADER, load_qtable
+from flux.cli import build_parser, main
+from flux.qlearn import CURVE_HEADER, TrainConfig, load_qtable
 from flux.arena import STATS_CSV_HEADER, read_transcripts
 from flux.engine import Role
 
@@ -45,6 +46,15 @@ class TestTrain:
         curve = (out / "training_curve.csv").read_text().splitlines()
         # episodes 0, 100, 200, 300, 400 and the forced final point 499
         assert len(curve) == 7
+
+    def test_flags_default_to_the_config(self):
+        # the nine training flags take their defaults and types from TrainConfig
+        args = vars(build_parser().parse_args(["train", "-o", "out"]))
+        defaults = asdict(TrainConfig())
+        shared = args.keys() & defaults.keys()
+        assert len(shared) == 9
+        assert {k: (args[k], type(args[k])) for k in shared} == {k: (defaults[k], type(defaults[k])) for k in shared}
+        assert TrainConfig(**{k: args[k] for k in shared}) == TrainConfig()
 
 
 def test_solve_reports_the_exact_answers(capsys, tmp_path):

@@ -324,6 +324,28 @@ def test_play_and_classification_leave_the_tables_unbuilt():
     assert "_tables" not in vars(solved)
 
 
+def test_solve_command_leaves_the_tables_unbuilt(capsys):
+    # the opening's line comes from the scores; only -o writes solved.txt from the tables
+    default_solved.cache_clear()
+    assert main(["solve"]) == 0
+    assert "amplifier wins under best play in 15 plies" in capsys.readouterr().out
+    assert "_tables" not in vars(default_solved())
+
+
+def test_random_win_prob_builds_no_table():
+    # one number from values kept by row id, not from 16,613 string keys (1.63 MiB)
+    game_graph(initial_state())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert random_win_prob(initial_state()) == RANDOM_PLAY_SHRINKER_WIN
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2**20
+
+
 def test_solving_twice_gives_identical_answers():
     a = solve(initial_state())
     b = solve(initial_state())
