@@ -160,8 +160,8 @@ def _backward(graph: _Graph, moves: int, ends: tuple, node: Callable, new: Calla
     """
     ids, kids, layers, _ = graph
     values, below = [], None
-    for moves, (layer, statuses) in reversed([*enumerate(layers, moves)]):
-        seat, here = _seat_to_move(moves), new(len(ids))
+    for played, (layer, statuses) in reversed([*enumerate(layers, moves)]):
+        seat, here = _seat_to_move(played), new(len(ids))
         for i, status in zip(layer, statuses):
             if status is ONGOING:
                 here[i] = node(seat, [below[c] for c in kids[i]])
@@ -232,7 +232,8 @@ def _random_play(root: GameState, exact: bool) -> list[list[float | Fraction]]:
         lcd = 1  # over one common denominator: one gcd per state, not one per child
         for q in outcomes:  # not lcm(*...), whose argument tuples pile up on free lists
             lcd = math.lcm(lcd, q.denominator)
-        return Fraction(sum(q.numerator * (lcd // q.denominator) for q in outcomes), lcd * len(outcomes))
+        total = sum(q.numerator * (lcd // q.denominator) for q in outcomes)
+        return Fraction(total, lcd * len(outcomes))
 
     return _backward(game_graph(root), root.moves_played, (one, zero), node, lambda n: [zero] * n)
 
