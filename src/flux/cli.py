@@ -82,7 +82,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"reachable states: shrinker to move {solved.reachable_shrinker}, "
         f"amplifier to move {solved.reachable_amplifier}"
     )
-    # from the scores: the string-keyed tables are built only for -o
+    # the opening is row 0 of the first layer
     depth = len(solved.scores) - abs(solved.scores[0][0])
     print(f"opening position: {solved.winner(opening).value} wins under best play in {depth} plies")
     print(f"shrinker win probability under uniform random play = {p_shrinker!r}")

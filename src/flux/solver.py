@@ -5,25 +5,26 @@ ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
 each live row is stepped once, through the unchecked step ``apply`` shares,
 and ``status_of`` runs once per row and once per state at the limit.  Layers,
 one per move count (at most 15 from any root), list the rows they hold.
-``game_graph`` builds the graph once per root and keeps the last one; every
+``game_graph`` builds the graph once per root and keeps the last two; every
 exact question reads it and none changes it.  A backward pass (retrograde
 analysis) gives each state one signed integer score, read as the winner under
 best play and ``depth``, the plies to the end when the winner hurries and the
 loser stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer,
-with the graph they index, and answers ``winner()`` from them; its string-keyed
-``value`` and ``depth`` tables (about 1.8 MiB for the standard game) are built
-on first read.  The same pass, with the mean of the children in place of the
-mover's best, gives the Shrinker's win probability under uniform random play,
-as a float or exactly, also by layer and row id; only ``random_win_table``,
-which returns a string-keyed dict, builds keys for it.
+with the graph they index, and answers ``winner()`` from them.  The same pass,
+with the mean of the children in place of the mover's best, gives the
+Shrinker's win probability under uniform random play, as a float or exactly,
+also by layer and row id.  The string-keyed tables, ``value``, ``depth`` and
+``random_win_table``, are read-only views over those values that parse each
+key they are asked for; ``export_solved`` writes from the scores.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
@@ -43,6 +44,7 @@ from .engine import (
     _step,
     initial_state,
     role_to_move,
+    state_from_key,
     state_key,
     status_of,
 )
@@ -56,7 +58,7 @@ _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, th
 _Graph = tuple[dict[tuple[int, ...], int], dict[int, list[int]], list[_Layer], list[str]]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)  # the last two roots: a sub-game between two questions about the game evicts neither
 def game_graph(root: GameState) -> _Graph:
     """The row graph from ``root``: ``(ids, kids, layers, prefixes)``.  Read it; never change it.
 
@@ -137,18 +139,49 @@ class SolvedGame:
     def winner(self, state: GameState) -> Role | None:
         """The winner under optimal play, or None if ``state`` is not reachable from the root."""
         i, d = self.graph[0].get(state.cells), state.moves_played - self.root.moves_played
-        s = self.scores[d][i] if i is not None and 0 <= d < len(self.scores) else 0
-        return None if s == 0 else _SHRINKER if s > 0 else _AMPLIFIER
+        return _winner(self.scores[d][i] if i is not None and 0 <= d < len(self.scores) else 0)
 
-    @cached_property
-    def _tables(self) -> tuple[dict[str, Role], dict[str, int]]:
-        horizon, value, depth = len(self.scores), {}, {}
-        for key, s in _by_key(self.graph, self.root.moves_played, self.scores):
-            value[key], depth[key] = _SHRINKER if s > 0 else _AMPLIFIER, horizon - abs(s)
-        return value, depth
+    value = property(lambda self: _Table(self.graph, self.root.moves_played, self.scores, _winner),
+                     doc="winner under optimal play, terminal states included")
+    depth = property(lambda self: _Table(self.graph, self.root.moves_played, self.scores, self._depth),
+                     doc="plies to the end: winner minimises, loser maximises")
 
-    value = property(lambda self: self._tables[0], doc="winner under optimal play, terminal states included")
-    depth = property(lambda self: self._tables[1], doc="plies to the end: winner minimises, loser maximises")
+    def _depth(self, score: int) -> int | None:
+        return len(self.scores) - abs(score) if score else None
+
+
+def _winner(score: int) -> Role | None:
+    return None if score == 0 else _SHRINKER if score > 0 else _AMPLIFIER
+
+
+class _Table(Mapping):
+    """A read-only view of values kept by layer and row id, by canonical state key, deepest layer first.
+
+    A lookup parses its key, about 2 us; ``decode`` gives None where a row is not in a layer."""
+
+    def __init__(self, graph: _Graph, moves: int, values: list, decode: Callable) -> None:
+        self._graph, self._moves, self._values, self._decode = graph, moves, values, decode
+
+    def __getitem__(self, key):
+        ids, _, _, prefixes = self._graph
+        try:
+            state = state_from_key(key)
+        except (AttributeError, TypeError, ValueError):
+            raise KeyError(key) from None
+        i, d = ids.get(state.cells), state.moves_played - self._moves
+        value = self._decode(self._values[d][i]) if i is not None and 0 <= d < len(self._values) else None
+        if value is None or prefixes[i] + str(state.moves_played) != key:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self) -> Iterator[str]:
+        _, _, layers, prefixes = self._graph
+        for d in reversed(range(len(layers))):
+            suffix = str(self._moves + d)
+            yield from (prefixes[i] + suffix for i in layers[d][0])
+
+    def __len__(self) -> int:
+        return sum(len(layer) for layer, _ in self._graph[2])
 
 
 def _backward(graph: _Graph, moves: int, ends: tuple, node: Callable, new: Callable) -> list:
@@ -170,15 +203,6 @@ def _backward(graph: _Graph, moves: int, ends: tuple, node: Callable, new: Calla
         values.append(here)
         below = here
     return values[::-1]
-
-
-def _by_key(graph: _Graph, moves: int, values: list) -> Iterator[tuple[str, object]]:
-    """Each state's key and value, the deepest layer first: the order the string-keyed tables keep."""
-    _, _, layers, prefixes = graph
-    for d in reversed(range(len(layers))):
-        here, suffix = values[d], str(moves + d)
-        for i in layers[d][0]:
-            yield prefixes[i] + suffix, here[i]
 
 
 def _best(seat: int, scores: list[int]) -> int:
@@ -235,13 +259,13 @@ def _random_play(root: GameState, exact: bool) -> list[list[float | Fraction]]:
         total = sum(q.numerator * (lcd // q.denominator) for q in outcomes)
         return Fraction(total, lcd * len(outcomes))
 
-    return _backward(game_graph(root), root.moves_played, (one, zero), node, lambda n: [zero] * n)
+    return _backward(game_graph(root), root.moves_played, (one, zero), node, lambda n: [None] * n)
 
 
-def random_win_table(root: GameState | None = None, exact: bool = False) -> dict[str, float | Fraction]:
+def random_win_table(root: GameState | None = None, exact: bool = False) -> Mapping[str, float | Fraction]:
     """Shrinker win probability at every reachable state when both sides play uniformly."""
     root = root if root is not None else initial_state()
-    return dict(_by_key(game_graph(root), root.moves_played, _random_play(root, exact)))
+    return _Table(game_graph(root), root.moves_played, _random_play(root, exact), lambda p: p)
 
 
 def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
@@ -249,11 +273,14 @@ def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
 
 
 def export_solved(solved: SolvedGame, path: str) -> None:
-    """One line per solved state: winner and plies-to-end under best play."""
-    value, depth = solved.value, solved.depth
+    """One line per solved state, in key order: winner and plies-to-end under best play."""
+    prefixes, scores, horizon = solved.graph[3], solved.scores, len(solved.scores)
+    moves = [str(solved.root.moves_played + d) for d in range(horizon)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#kind=solved\n#root={state_key(solved.root)}\n")
-        fh.writelines(f"{key}\t{value[key].value},{depth[key]}\n" for key in sorted(value))
+        for i in sorted(range(len(prefixes)), key=prefixes.__getitem__):  # each ends at its only "|"
+            for m, s in sorted((moves[d], layer[i]) for d, layer in enumerate(scores) if layer[i]):
+                fh.write(f"{prefixes[i]}{m}\t{_winner(s).value},{horizon - abs(s)}\n")
 
 
 @lru_cache(maxsize=1)

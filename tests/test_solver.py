@@ -138,6 +138,18 @@ def test_graph_steps_each_live_row_once(graph_steps):
     assert graph_steps == [15048]
 
 
+def test_a_sub_game_keeps_the_standard_graph(graph_steps):
+    # the standard game's graph keeps its own slot: solving a sub-game between
+    # two questions about the standard game rebuilds neither; one shared slot
+    # for every root made the second question rebuild it (15,048 steps)
+    solve()
+    solve(GameState((4, 1, 3, 1, 2), 1))
+    graph_steps[0] = 0
+    reachable_states()
+    random_win_table()
+    assert graph_steps == [0]
+
+
 def test_solve_command_builds_the_graph_once(graph_steps, capsys):
     # the solved table, the float table and the exact table all read one graph
     # of the standard game: one build, not one each (45,144 steps)
@@ -247,13 +259,39 @@ def test_terminal_positions_have_depth_zero(solved):
 
 
 def test_solved_table_entries_and_order_are_frozen():
-    # the string-keyed tables are built from the scores on first read, in the
-    # order the backward pass meets the states: the deepest layer first
+    # the string-keyed tables list the states in the order the backward pass
+    # meets them: the deepest layer first
     result = solve()
     digest = hashlib.sha256()
     for key, winner in result.value.items():
         digest.update(f"{key}\t{winner.value},{result.depth[key]}\n".encode())
     assert digest.hexdigest() == SOLVED_TABLE_SHA256
+
+
+def _four_tables(root):
+    solved = solve(root)
+    return solved.value, solved.depth, random_win_table(root), random_win_table(root, exact=True)
+
+
+def test_tables_behave_like_read_only_dicts():
+    # each string-keyed table is a view over values kept by row id: it finds
+    # only the canonical key of a state it holds, and it cannot be changed
+    opening = state_key(initial_state())
+    # not canonical, not reachable, not a string, not a key
+    missing = ("02,1,3,1,2|0", "2,1,3,1,2|1", 5, "x|y")
+    for table, sub_table in zip(_four_tables(initial_state()), _four_tables(SUB_ROOT)):
+        assert len(table) == len(list(table)) == 16613
+        assert opening in table and table.get(opening) == table[opening]
+        assert state_key(SUB_ROOT) in sub_table
+        checks = [(table, key) for key in missing]
+        checks += [(sub_table, key) for key in (*missing, state_key(BEFORE_SUB_ROOT))]
+        for t, key in checks:
+            assert key not in t
+            assert t.get(key, "absent") == "absent"
+            with pytest.raises(KeyError):
+                t[key]
+        with pytest.raises(TypeError):
+            table[opening] = table[opening]
 
 
 def test_winner_reads_the_scores(solved):
@@ -294,42 +332,92 @@ def test_solved_games_read_their_own_graphs(graph_steps):
     assert rounds[0][0] is rounds[0][1] and rounds == rounds[:1] * 3
 
 
+def _traced_peak(run) -> int:
+    """The peak of memory traced while ``run()`` runs, above what was traced before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_solve_result_is_its_scores():
     # with the graph cached, solve returns one byte per row and layer (57 KiB
-    # for the standard game); the string-keyed tables (1.8 MiB) wait for a read
+    # for the standard game), and its string-keyed tables are views over them;
+    # dicts of 16,613 keys built on read kept 1.8 MiB
+    key = state_key(initial_state())
     game_graph(initial_state())
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = solve()
+        assert (result.value[key], result.depth[key]) == (Role.AMPLIFIER, 15)
+        assert len(result.value) == len(result.depth) == 16613
         gc.collect()
         size = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert "_tables" not in vars(result)
     assert size <= 128 * 2**10
 
 
 def test_play_and_classification_leave_the_tables_unbuilt():
-    # set-up, optimal play and failure tags read scores, not string keys
+    # set-up, optimal play, failure tags and a string-keyed read build no
+    # 16,613-key table (1.8 MiB); a reachable-state list is made outside
     default_solved.cache_clear()
     solved = default_solved()
-    for state in random.Random(9).sample(reachable_states().ongoing, 100):
-        optimal_policy(solved, state)
-    records = [play_game(OptimalAgent(), RandomAgent(), seed=s) for s in range(3)]
-    records += [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(3)]
-    tags = [tag for record in records for _, tag in classify_failure(record)]
+    live = random.Random(9).sample(reachable_states().ongoing, 100)
+    tags = []
+
+    def play():
+        for state in live:
+            optimal_policy(solved, state)
+        records = [play_game(OptimalAgent(), RandomAgent(), seed=s) for s in range(3)]
+        records += [play_game(RandomAgent(), RandomAgent(), seed=s) for s in range(3)]
+        tags.extend(tag for record in records for _, tag in classify_failure(record))
+        assert solved.value[state_key(initial_state())] is Role.AMPLIFIER
+
+    assert _traced_peak(play) <= 2**19
     assert "myopia" in tags  # a random mover throws away a won position
-    assert "_tables" not in vars(solved)
 
 
-def test_solve_command_leaves_the_tables_unbuilt(capsys):
-    # the opening's line comes from the scores; only -o writes solved.txt from the tables
+def test_solve_command_leaves_the_tables_unbuilt(capsys, tmp_path):
+    # the opening's line comes from the scores and solved.txt straight from
+    # them: no 16,613-key table (1.8 MiB), only the float random-play values
     default_solved.cache_clear()
-    assert main(["solve"]) == 0
+    game_graph(initial_state())
+    assert _traced_peak(lambda: main(["solve", "-o", str(tmp_path)])) <= 2**20
     assert "amplifier wins under best play in 15 plies" in capsys.readouterr().out
-    assert "_tables" not in vars(default_solved())
+    assert hashlib.sha256((tmp_path / "solved.txt").read_bytes()).hexdigest() == SOLVED_TXT_SHA256
+
+
+def test_enumerate_round_builds_no_tables(tmp_path):
+    # the benchmark's enumerate round with the graph cached: the states, the
+    # scores, both random-play passes, solved.txt and 1,000 string-keyed reads;
+    # dicts for the tables and a sorted key list for the export peaked at 7.1 MiB
+    game_graph(initial_state())
+    kept = []
+
+    def round_():
+        reach = reachable_states()
+        solved = solve()
+        kept.extend([reach, solved, random_win_table(), random_win_table(exact=True)])
+        export_solved(solved, str(tmp_path / "solved.txt"))
+        for state in random.Random(3).sample(reach.ongoing, 1000):
+            solved.value[state_key(state)]
+
+    assert _traced_peak(round_) <= 4 * 2**20
+
+
+def test_export_builds_no_table(tmp_path):
+    # solved.txt goes out a line at a time from the scores, rows sorted by their
+    # key prefixes; with the tables and a sorted key list it peaked at 1.9 MiB
+    path, solved = tmp_path / "solved.txt", solve()
+    assert _traced_peak(lambda: export_solved(solved, str(path))) <= 2**19
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLVED_TXT_SHA256
 
 
 def test_random_win_prob_builds_no_table():
