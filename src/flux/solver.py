@@ -274,13 +274,14 @@ def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
 
 def export_solved(solved: SolvedGame, path: str) -> None:
     """One line per solved state, in key order: winner and plies-to-end under best play."""
-    prefixes, scores, horizon = solved.graph[3], solved.scores, len(solved.scores)
-    moves = [str(solved.root.moves_played + d) for d in range(horizon)]
+    prefixes, scores = solved.graph[3], solved.scores
+    moves = [str(solved.root.moves_played + d) for d in range(len(scores))]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#kind=solved\n#root={state_key(solved.root)}\n")
-        for i in sorted(range(len(prefixes)), key=prefixes.__getitem__):  # each ends at its only "|"
+        # rows by key prefix, then move count as text: key order, as a prefix ends at its only "|"
+        for i in sorted(range(len(prefixes)), key=prefixes.__getitem__):
             for m, s in sorted((moves[d], layer[i]) for d, layer in enumerate(scores) if layer[i]):
-                fh.write(f"{prefixes[i]}{m}\t{_winner(s).value},{horizon - abs(s)}\n")
+                fh.write(f"{prefixes[i]}{m}\t{_winner(s).value},{solved._depth(s)}\n")
 
 
 @lru_cache(maxsize=1)

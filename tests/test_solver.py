@@ -139,9 +139,9 @@ def test_graph_steps_each_live_row_once(graph_steps):
 
 
 def test_a_sub_game_keeps_the_standard_graph(graph_steps):
-    # the standard game's graph keeps its own slot: solving a sub-game between
-    # two questions about the standard game rebuilds neither; one shared slot
-    # for every root made the second question rebuild it (15,048 steps)
+    # the cache keeps the last two roots' graphs: solving a sub-game between two
+    # questions about the standard game rebuilds neither; a cache of one root
+    # would rebuild the standard game's graph (15,048 steps)
     solve()
     solve(GameState((4, 1, 3, 1, 2), 1))
     graph_steps[0] = 0
@@ -347,7 +347,7 @@ def _traced_peak(run) -> int:
 def test_solve_result_is_its_scores():
     # with the graph cached, solve returns one byte per row and layer (57 KiB
     # for the standard game), and its string-keyed tables are views over them;
-    # dicts of 16,613 keys built on read kept 1.8 MiB
+    # a dict of 16,613 keys per table would keep 1.8 MiB
     key = state_key(initial_state())
     game_graph(initial_state())
     gc.collect()
@@ -397,7 +397,7 @@ def test_solve_command_leaves_the_tables_unbuilt(capsys, tmp_path):
 def test_enumerate_round_builds_no_tables(tmp_path):
     # the benchmark's enumerate round with the graph cached: the states, the
     # scores, both random-play passes, solved.txt and 1,000 string-keyed reads;
-    # dicts for the tables and a sorted key list for the export peaked at 7.1 MiB
+    # a dict per table and a sorted key list for the export would peak at 7.1 MiB
     game_graph(initial_state())
     kept = []
 
@@ -414,7 +414,7 @@ def test_enumerate_round_builds_no_tables(tmp_path):
 
 def test_export_builds_no_table(tmp_path):
     # solved.txt goes out a line at a time from the scores, rows sorted by their
-    # key prefixes; with the tables and a sorted key list it peaked at 1.9 MiB
+    # key prefixes; the tables and a sorted key list would peak at 1.9 MiB
     path, solved = tmp_path / "solved.txt", solve()
     assert _traced_peak(lambda: export_solved(solved, str(path))) <= 2**19
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLVED_TXT_SHA256
