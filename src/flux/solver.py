@@ -157,12 +157,13 @@ def _winner(score: int) -> Role | None:
 class _Table(Mapping):
     """A read-only view of values kept by layer and row id, by canonical state key, deepest layer first.
 
-    A lookup parses its key, about 2 us; ``decode`` gives None where a row is not in a layer."""
+    A lookup parses its key, about 2 us; ``decode`` gives None where a row is not in a layer.
+    """
 
     def __init__(self, graph: _Graph, moves: int, values: list, decode: Callable) -> None:
         self._graph, self._moves, self._values, self._decode = graph, moves, values, decode
 
-    def __getitem__(self, key):
+    def __getitem__(self, key: object) -> object:
         ids, _, _, prefixes = self._graph
         try:
             state = state_from_key(key)

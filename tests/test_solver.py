@@ -397,7 +397,7 @@ def test_solve_command_leaves_the_tables_unbuilt(capsys, tmp_path):
 def test_enumerate_round_builds_no_tables(tmp_path):
     # the benchmark's enumerate round with the graph cached: the states, the
     # scores, both random-play passes, solved.txt and 1,000 string-keyed reads;
-    # a dict per table and a sorted key list for the export would peak at 7.1 MiB
+    # a dict per table and a sorted key list for the export would peak at 6.9 MiB
     game_graph(initial_state())
     kept = []
 
