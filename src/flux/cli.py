@@ -19,7 +19,7 @@ import os
 import sys
 
 from .agents import RandomSource
-from .engine import Role, apply, initial_state, role_to_move, status_of
+from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
 from .errors import ConfigError, FormatError
 from .qlearn import CURRICULA, TrainConfig, final_epsilon, save_qtable, train, write_curve
 from .solver import default_solved, export_solved, random_win_prob
@@ -82,8 +82,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"reachable states: shrinker to move {solved.reachable_shrinker}, "
         f"amplifier to move {solved.reachable_amplifier}"
     )
-    # the opening is row 0 of the first layer
-    depth = len(solved.scores) - abs(solved.scores[0][0])
+    depth = solved.depth[state_key(opening)]
     print(f"opening position: {solved.winner(opening).value} wins under best play in {depth} plies")
     print(f"shrinker win probability under uniform random play = {p_shrinker!r}")
     if args.rational:

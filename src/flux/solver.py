@@ -5,7 +5,7 @@ ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
 each live row is stepped once, through the unchecked step ``apply`` shares,
 and ``status_of`` runs once per row and once per state at the limit.  Layers,
 one per move count (at most 15 from any root), list the rows they hold.
-``game_graph`` builds the graph once per root and keeps the last two; every
+``game_graph`` builds the graph once per root and keeps the last one; every
 exact question reads it and none changes it.  A backward pass (retrograde
 analysis) gives each state one signed integer score, read as the winner under
 best play and ``depth``, the plies to the end when the winner hurries and the
@@ -58,7 +58,7 @@ _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, th
 _Graph = tuple[dict[tuple[int, ...], int], dict[int, list[int]], list[_Layer], list[str]]
 
 
-@lru_cache(maxsize=2)  # the last two roots: a sub-game between two questions about the game evicts neither
+@lru_cache(maxsize=1)
 def game_graph(root: GameState) -> _Graph:
     """The row graph from ``root``: ``(ids, kids, layers, prefixes)``.  Read it; never change it.
 
@@ -138,27 +138,29 @@ class SolvedGame:
 
     def winner(self, state: GameState) -> Role | None:
         """The winner under optimal play, or None if ``state`` is not reachable from the root."""
-        i, d = self.graph[0].get(state.cells), state.moves_played - self.root.moves_played
-        return _winner(self.scores[d][i] if i is not None and 0 <= d < len(self.scores) else 0)
+        return _winner(_at(self.graph, self.root.moves_played, self.scores, state))
 
     value = property(lambda self: _Table(self.graph, self.root.moves_played, self.scores, _winner),
                      doc="winner under optimal play, terminal states included")
     depth = property(lambda self: _Table(self.graph, self.root.moves_played, self.scores, self._depth),
                      doc="plies to the end: winner minimises, loser maximises")
 
-    def _depth(self, score: int) -> int | None:
+    def _depth(self, score: int | None) -> int | None:
         return len(self.scores) - abs(score) if score else None
 
 
-def _winner(score: int) -> Role | None:
-    return None if score == 0 else _SHRINKER if score > 0 else _AMPLIFIER
+def _winner(score: int | None) -> Role | None:
+    return None if not score else _SHRINKER if score > 0 else _AMPLIFIER
+
+
+def _at(graph: _Graph, moves: int, values: list, state: GameState) -> object:
+    """``state``'s entry in ``values``, by layer from move count ``moves`` and row id; None off the graph."""
+    i, d = graph[0].get(state.cells), state.moves_played - moves
+    return values[d][i] if i is not None and 0 <= d < len(values) else None
 
 
 class _Table(Mapping):
-    """A read-only view of values kept by layer and row id, by canonical state key, deepest layer first.
-
-    A lookup parses its key, about 2 us; ``decode`` gives None where a row is not in a layer.
-    """
+    """A read-only view of values kept by layer and row id, by canonical state key; a lookup parses its key."""
 
     def __init__(self, graph: _Graph, moves: int, values: list, decode: Callable) -> None:
         self._graph, self._moves, self._values, self._decode = graph, moves, values, decode
@@ -169,13 +171,13 @@ class _Table(Mapping):
             state = state_from_key(key)
         except (AttributeError, TypeError, ValueError):
             raise KeyError(key) from None
-        i, d = ids.get(state.cells), state.moves_played - self._moves
-        value = self._decode(self._values[d][i]) if i is not None and 0 <= d < len(self._values) else None
-        if value is None or prefixes[i] + str(state.moves_played) != key:
+        # decode gives None off the graph and where the row is not in the layer (score 0, or None)
+        value = self._decode(_at(self._graph, self._moves, self._values, state))
+        if value is None or prefixes[ids[state.cells]] + str(state.moves_played) != key:
             raise KeyError(key)
         return value
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[str]:  # the deepest layer first, the backward pass's order
         _, _, layers, prefixes = self._graph
         for d in reversed(range(len(layers))):
             suffix = str(self._moves + d)

@@ -138,18 +138,6 @@ def test_graph_steps_each_live_row_once(graph_steps):
     assert graph_steps == [15048]
 
 
-def test_a_sub_game_keeps_the_standard_graph(graph_steps):
-    # the cache keeps the last two roots' graphs: solving a sub-game between two
-    # questions about the standard game rebuilds neither; a cache of one root
-    # would rebuild the standard game's graph (15,048 steps)
-    solve()
-    solve(GameState((4, 1, 3, 1, 2), 1))
-    graph_steps[0] = 0
-    reachable_states()
-    random_win_table()
-    assert graph_steps == [0]
-
-
 def test_solve_command_builds_the_graph_once(graph_steps, capsys):
     # the solved table, the float table and the exact table all read one graph
     # of the standard game: one build, not one each (45,144 steps)
