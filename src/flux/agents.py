@@ -112,7 +112,7 @@ class GreedyQAgent(AgentPolicy):
 
     def choose(self, state, role, rng):
         key = state_key(state)
-        if key not in self.qtable.entries:
+        if key not in self.qtable._index:
             self.last_annotation = {"fallback": True}
             return random_policy(state, rng)
         self.last_annotation = None

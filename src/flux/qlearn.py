@@ -6,18 +6,24 @@ symmetric self-play where both tables update.  A learner's transition runs
 from one of its own decision points to the next, so the opponent's reply is
 folded into the environment; rewards are +1/-1 at the end of the game and 0
 in between.
+
+A ``QTable`` keeps its rows flat: a key-to-row dict, ten ``float`` slots a row (two codes per opening
+cell; rows never grow) and a bitmask of the updated codes, about 265 bytes a state against 460 as a
+dict of dicts.  Its ``entries`` read each row as a fresh dict, a read-only copy.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from itertools import chain
+from math import isfinite
 
 from .agents import RandomSource, random_policy
 from .engine import (
     _ROLES,
+    INITIAL_CELLS,
     ONGOING,
     GameState,
     Role,
@@ -82,24 +88,74 @@ class TrainConfig:
         return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-@dataclass
+_ROW = 2 * len(INITIAL_CELLS)  # Q slots per row: two codes per opening cell, as rows never grow
+_ZERO_ROW = bytes(8 * _ROW)  # a row of 0.0
+
+
+class _Rows(Mapping):
+    """``QTable.entries``: a row reads as a fresh ``{code: value}`` dict; ``entries[key] = row`` writes one."""
+
+    def __init__(self, table: QTable) -> None:
+        self._table = table
+
+    def __getitem__(self, key: str) -> dict[int, float]:
+        t = self._table
+        row = t._index[key]
+        return {code: t._q[row * _ROW + code] for code in range(_ROW) if t._seen[row] >> code & 1}
+
+    def __setitem__(self, key: str, values: Mapping[int, float]) -> None:
+        if not all(0 <= code < _ROW for code in values):
+            raise ValueError(f"codes must lie in 0..{_ROW - 1}, not {list(values)}")
+        t = self._table
+        row = t._row(key)
+        t._q[row * _ROW : (row + 1) * _ROW] = array("d", (values.get(c, 0.0) for c in range(_ROW)))
+        t._seen[row] = sum(1 << code for code in values)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._table._index
+
+    def __len__(self) -> int:
+        return len(self._table._index)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table._index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Rows):
+            return Mapping.__eq__(self, other)
+        a, b = self._table, other._table  # a slot never updated holds 0.0 in both
+        return a._index.keys() == b._index.keys() and all(
+            a._seen[i] == b._seen[j] and a._q[i * _ROW : (i + 1) * _ROW] == b._q[j * _ROW : (j + 1) * _ROW]
+            for i, j in zip(a._index.values(), map(b._index.get, a._index))
+        )
+
+
 class QTable:
-    role: Role
-    entries: dict[str, dict[int, float]] = field(default_factory=dict)
-    episodes: int = 0
-    config_digest: str = ""
+    """One role's action values, in the three flat stores the module docstring describes."""
+
+    def __init__(self, role: Role, entries: Mapping | None = None, episodes: int = 0, config_digest: str = ""):
+        self.role, self.episodes, self.config_digest = role, episodes, config_digest
+        self._index, self._q, self._seen = {}, array("d"), array("H")
+        for key, row in (entries or {}).items():
+            self.entries[key] = row
+
+    entries = property(_Rows)  # a view per read: one kept on the table would make a reference cycle
+
+    def _row(self, key: str) -> int:  # key's row number, appending a row of 0.0 if it has none yet
+        row = self._index.get(key)
+        if row is None:
+            row = self._index[key] = len(self._seen)
+            self._q.frombytes(_ZERO_ROW)
+            self._seen.append(0)
+        return row
 
     def best_code(self, key: str, n_codes: int) -> int:
         """Argmax over codes 0..n_codes-1 with 0.0 defaults; ties take the lowest code."""
-        row = self.entries.get(key)
+        row = self._index.get(key)
         if row is None:
             return 0
-        best, best_v = 0, None
-        for code in range(n_codes):
-            v = row.get(code, 0.0)
-            if best_v is None or v > best_v:
-                best, best_v = code, v
-        return best
+        values = self._q[row * _ROW : row * _ROW + n_codes]
+        return values.index(max(values))  # 0.0 == -0.0, so they tie too
 
 
 def epsilon_at(episode: int, cfg: TrainConfig) -> float:
@@ -125,14 +181,14 @@ def q_update(
     """One Bellman backup.  ``next_key=None`` marks a terminal transition (bootstrap 0)."""
     target = reward
     if next_key is not None:
-        row = q.entries.get(next_key, {})  # a stored row holds only legal codes
-        best = max(row.values(), default=0.0)
-        if len(row) < next_n_codes:  # an absent legal code is worth 0.0
-            best = max(best, 0.0)
+        nxt = q._index.get(next_key)
+        # a row holds values only under legal codes, and 0.0 under the ones never updated
+        best = 0.0 if nxt is None else max(q._q[nxt * _ROW : nxt * _ROW + next_n_codes])
         target += cfg.gamma * best
-    row = q.entries.setdefault(key, {})
-    old = row.get(a_code, 0.0)
-    row[a_code] = old + cfg.alpha * (target - old)
+    row = q._row(key)
+    slot = row * _ROW + a_code
+    q._q[slot] += cfg.alpha * (target - q._q[slot])
+    q._seen[row] |= 1 << a_code
 
 
 @dataclass
@@ -255,8 +311,8 @@ def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
                     epsilon=epsilon_at(episode, cfg),
                     winner=result.winner,
                     plies=result.plies,
-                    states_shrinker=len(q_shrinker.entries),
-                    states_amplifier=len(q_amplifier.entries),
+                    states_shrinker=len(q_shrinker._index),
+                    states_amplifier=len(q_amplifier._index),
                 )
             )
     return q_shrinker, q_amplifier, curve
@@ -275,79 +331,73 @@ def final_epsilon(cfg: TrainConfig) -> float:
 
 
 def save_qtable(q: QTable, path: str) -> None:
-    lines = [
-        f"#role={q.role.value}",
-        f"#episodes={q.episodes}",
-        f"#config_digest={q.config_digest}",
-    ]
-    for key in sorted(q.entries):
-        row = q.entries[key]
-        cells = ";".join(f"{code}={row[code]!r}" for code in sorted(row))
-        lines.append(f"{key}\t{cells}")
+    values, masks = q._q, q._seen
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"#role={q.role.value}\n#episodes={q.episodes}\n#config_digest={q.config_digest}\n")
+        for key, row in sorted(q._index.items()):
+            seen = masks[row]
+            cells = ";".join([f"{c}={values[row * _ROW + c]!r}" for c in range(seen.bit_length()) if seen >> c & 1])
+            fh.write(f"{key}\t{cells}\n")
 
 
 def load_qtable(path: str) -> QTable:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
     headers: dict[str, str] = {}
-    body_start = 0
-    for i, line in enumerate(raw):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        name, sep, value = line[1:].partition("=")
-        if not sep:
-            raise FormatError(f"{path}: line {i + 1}: malformed header {line!r}")
-        headers[name] = value
-        body_start = i + 1
-    for required in ("role", "episodes", "config_digest"):
-        if required not in headers:
-            raise FormatError(f"{path}: line 1: missing #{required}= header")
-    try:
-        q = QTable(
-            role=Role(headers["role"]),
-            episodes=int(headers["episodes"]),
-            config_digest=headers["config_digest"],
-        )
-    except ValueError as exc:
-        raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
-    for i in range(body_start, len(raw)):
-        line = raw[i]
-        if not line:
-            continue
-        key, sep, cells = line.partition("\t")
-        if not sep or not cells:
-            raise FormatError(f"{path}: line {i + 1}: expected '<state>\\t<code>=<value>;...'")
-        try:
-            state = state_from_key(key)
-            # state_key never writes "02", " 2" or "+0", and no agent moves in
-            # a finished state: a row under such a key would never be looked up
-            if state_key(state) != key:
-                raise ValueError(f"non-canonical state key {key!r}")
-            if status_of(state) is not ONGOING:
-                raise ValueError(f"finished state {key!r} is never looked up")
-            if key in q.entries:
-                raise ValueError(f"repeated state key {key!r}")
-            row_len = len(state.cells)
-            row: dict[int, float] = {}
-            for item in cells.split(";"):
-                code_s, sep2, value_s = item.partition("=")
-                if not sep2:
-                    raise ValueError(f"bad entry {item!r}")
-                code = int(code_s)
-                value = float(value_s)
-                if not 0 <= code < 2 * row_len:
-                    raise ValueError(f"code {code} out of range for key {key!r}")
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite value for code {code}")
-                if code in row:
-                    raise ValueError(f"repeated code {code} for key {key!r}")
-                row[code] = value
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 1}: {exc}") from exc
-        q.entries[key] = row
+    q = None  # made at the first line after the headers
+    with open(path, "r", encoding="ascii") as fh:
+        for i, line in enumerate(chain(fh, [""]), 1):  # the last "" makes a table of a file without rows
+            line = line.rstrip("\n")
+            if q is None:
+                if line.startswith("#"):
+                    name, sep, value = line[1:].partition("=")
+                    if not sep:
+                        raise FormatError(f"{path}: line {i}: malformed header {line!r}")
+                    headers[name] = value
+                    continue
+                for required in ("role", "episodes", "config_digest"):
+                    if required not in headers:
+                        raise FormatError(f"{path}: line 1: missing #{required}= header")
+                try:
+                    role, episodes = Role(headers["role"]), int(headers["episodes"])
+                    q = QTable(role, episodes=episodes, config_digest=headers["config_digest"])
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
+                index, values, masks = q._index, q._q, q._seen
+            if not line:
+                continue
+            key, sep, cells = line.partition("\t")
+            if not sep or not cells:
+                raise FormatError(f"{path}: line {i}: expected '<state>\\t<code>=<value>;...'")
+            try:
+                state = state_from_key(key)
+                # state_key never writes "02", " 2" or "+0", no agent moves in a finished state, and
+                # rows never grow: a row under such a key would never be looked up
+                if state_key(state) != key:
+                    raise ValueError(f"non-canonical state key {key!r}")
+                if status_of(state) is not ONGOING:
+                    raise ValueError(f"finished state {key!r} is never looked up")
+                if key in index:
+                    raise ValueError(f"repeated state key {key!r}")
+                n_codes, seen, base = 2 * len(state.cells), 0, len(values)
+                if n_codes > _ROW:
+                    raise ValueError(f"state {key!r} has more cells than the opening")
+                values.frombytes(_ZERO_ROW)
+                for item in cells.split(";"):
+                    code_s, sep2, value_s = item.partition("=")
+                    if not sep2:
+                        raise ValueError(f"bad entry {item!r}")
+                    code, value = int(code_s), float(value_s)
+                    if not 0 <= code < n_codes:
+                        raise ValueError(f"code {code} out of range for key {key!r}")
+                    if not isfinite(value):
+                        raise ValueError(f"non-finite value for code {code}")
+                    if seen & (bit := 1 << code):
+                        raise ValueError(f"repeated code {code} for key {key!r}")
+                    values[base + code] = value
+                    seen |= bit
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {i}: {exc}") from exc
+            index[key] = len(masks)
+            masks.append(seen)
     return q
 
 

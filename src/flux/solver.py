@@ -223,9 +223,9 @@ def solve(root: GameState | None = None) -> SolvedGame:
     # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
     horizon = len(layers)
     scores = _backward(graph, root.moves_played, (horizon, -horizon), _best, lambda n: array("b", bytes(n)))
-    counts = [0, 0]  # live states by the mover's seat
+    counts = [0, 0]  # live states by the mover's seat, found by identity: count() would run __eq__ on the rest
     for moves, (_, statuses) in enumerate(layers, root.moves_played):
-        counts[_seat_to_move(moves)] += statuses.count(ONGOING)
+        counts[_seat_to_move(moves)] += [status is ONGOING for status in statuses].count(True)
     return SolvedGame(root, graph, scores, *counts)
 
 

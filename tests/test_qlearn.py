@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +119,7 @@ class TestUpdate:
     def test_bootstrapped_backup(self):
         q = QTable(role=Role.SHRINKER)
         q.entries["n|1"] = {2: 1.0, 3: -0.5}
-        q_update(q, "s|0", 4, 0.0, "n|1", 2, TrainConfig())
+        q_update(q, "s|0", 4, 0.0, "n|1", 4, TrainConfig())
         # target = 0 + 0.92 * max(1.0, -0.5) = 0.92; update = 0.2 * 0.92
         assert q.entries["s|0"][4] == pytest.approx(0.184, abs=1e-12)
 
@@ -161,6 +162,41 @@ class TestQTable:
             q.entries[f"{trial}|0"] = row = dict(zip(codes, values))
             expected = max(range(n_codes), key=lambda c: (row.get(c, 0.0), -c))
             assert q.best_code(f"{trial}|0", n_codes) == expected, row
+
+
+class TestRowView:
+    ROWS = {"2,1,3,1,2|0": {0: -0.5, 9: 0.25}, "1,1|4": {1: 1.0, 0: -0.0}}
+
+    def test_a_row_read_is_a_copy(self):
+        q = QTable(role=Role.SHRINKER, entries=self.ROWS)
+        row = q.entries["1,1|4"]
+        row[1], row[3] = -7.0, 7.0
+        assert q.entries["1,1|4"] == {1: 1.0, 0: -0.0}
+        assert q.best_code("1,1|4", 4) == 1
+
+    def test_an_empty_table_equals_an_empty_dict(self):
+        q = QTable(role=Role.AMPLIFIER)
+        assert q.entries == {} and {} == q.entries
+        assert len(q.entries) == 0 and list(q.entries) == [] and "2,1|1" not in q.entries
+
+    def test_constructor_rows_survive_save_and_load(self, tmp_path):
+        q = QTable(Role.SHRINKER, entries=self.ROWS, episodes=5, config_digest="abc123")
+        assert q.entries == self.ROWS
+        path = tmp_path / "q.txt"
+        save_qtable(q, str(path))
+        back = load_qtable(str(path))
+        assert back.entries == q.entries and back.entries == self.ROWS
+        assert list(back.entries) == sorted(self.ROWS)
+        back.entries["1,1|4"] = {2: 0.5}
+        assert back.entries != q.entries and back.entries["1,1|4"] == {2: 0.5}
+
+    @pytest.mark.parametrize("code", [-1, 10])
+    def test_a_code_outside_the_fixed_row_is_rejected(self, code):
+        # a row has ten slots, two codes for each of the opening's five cells
+        q = QTable(role=Role.SHRINKER)
+        with pytest.raises(ValueError):
+            q.entries["2,1|0"] = {0: 0.5, code: 1.0}
+        assert q.entries == {}
 
 
 class TestTraining:
@@ -305,6 +341,27 @@ class TestSerialization:
         with pytest.raises(FormatError) as err:
             load_qtable(str(path))
         assert "line 5" in str(err.value) and message in str(err.value)
+
+    def test_row_with_more_cells_than_the_opening_is_an_error(self, tmp_path):
+        # rows never grow, so no game reaches six cells and no lookup finds the row
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + "2,1|0\t0=0.5\n" + "1,1,1,1,1,1|0\t0=0.5\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 5" in str(err.value) and "more cells than the opening" in str(err.value)
+
+    def test_loading_the_fixture_keeps_a_flat_table(self):
+        fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
+        load_qtable(str(fixture))  # fill the engine's caches first
+        tracemalloc.start()
+        try:
+            q = load_qtable(str(fixture))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(q.entries) == 2438
+        # a dict of dicts kept 1.09 MiB and peaked at 1.35 MiB, reading the whole file first
+        assert kept <= 0.75 * 2**20 and peak <= 2**20
 
     def test_curve_file(self, tmp_path):
         _, _, curve = train(TrainConfig(episodes=3, seed=2))
