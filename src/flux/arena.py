@@ -37,7 +37,7 @@ from .engine import (
     role_to_move,
     status_of,
 )
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, text_lines
 from .llm import INVALID_FORMAT, INVALID_OUT_OF_RANGE, LlmAgent, ScriptedBackend, http_backend_from_env
 from .qlearn import load_qtable
 from .solver import OptimalAgent, SolvedGame, default_solved
@@ -213,8 +213,7 @@ def agent_factory(identifier):
             path = backend_spec[len("scripted=") :]
             if not os.path.exists(path):
                 raise ConfigError(f"scripted reply file not found: {path}")
-            with open(path, "r", encoding="utf-8") as fh:
-                replies = fh.read().splitlines()
+            replies = "".join(text_lines(path, "utf-8", ConfigError)).splitlines()
             return lambda seed: LlmAgent(ScriptedBackend(replies), name=identifier)
         if backend_spec == "http":
             backend = http_backend_from_env()
@@ -335,61 +334,60 @@ def read_transcripts(path: str) -> list[GameRecord]:
     header: tuple | None = None  # (game, seed, p0, p1) of the open game, until its end line
     plies: list[PlyRecord] = []
     share = {}.setdefault  # share(v, v) is this file's single copy of the immutable value v
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: not valid JSON ({exc})") from exc
-            try:
-                kind = obj["type"]
-                if kind == "game":
-                    if header is not None:
-                        raise ValueError(f"game {header[0]} has no end record")
-                    game, seed = _read_typed(obj, "game", int), _read_typed(obj, "seed", int)
-                    p0, p1 = _read_typed(obj, "p0", str), _read_typed(obj, "p1", str)
-                    header, plies = (game, seed, share(p0, p0), share(p1, p1)), []
-                elif kind not in ("ply", "end"):
-                    raise KeyError(f"unknown record type {kind!r}")
-                elif header is None:
-                    raise KeyError(f"{kind} record before any game record")
-                elif _read_typed(obj, "game", int) != header[0]:
-                    raise ValueError(f"{kind} record for game {obj['game']} inside game {header[0]}")
-                elif kind == "ply":
-                    annotation = obj.get("annotation")
-                    if annotation is not None and type(annotation) is not dict:
-                        raise ValueError(f"annotation must be an object or null, got {annotation!r}")
-                    if annotation:  # its own dict, over shared keys and string values
-                        annotation = {share(k, k): share(v, v) if type(v) is str else v for k, v in annotation.items()}
-                    before, after = _read_cells(obj, "cells_before"), _read_cells(obj, "cells_after")
-                    text = _read_typed(obj, "action_text", str)
-                    ply = _read_typed(obj, "ply", int)
-                    if ply < 1:  # numbered from 1: a ply 0 would replay with the seats swapped
-                        raise ValueError(f"ply must be at least 1, got {ply}")
-                    plies.append(
-                        PlyRecord(
-                            ply=ply,
-                            role=Role(obj["role"]),
-                            cells_before=share(before, before),
-                            action_code=_read_typed(obj, "action", int),
-                            action_text=share(text, text),
-                            cells_after=share(after, after),
-                            sum_after=_read_typed(obj, "sum_after", int),
-                            status=TerminalStatus.from_label(_read_typed(obj, "status", str)),
-                            annotation=annotation,
-                        )
+    for lineno, line in enumerate(text_lines(path, "utf-8", FormatError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: line {lineno}: not valid JSON ({exc})") from exc
+        try:
+            kind = obj["type"]
+            if kind == "game":
+                if header is not None:
+                    raise ValueError(f"game {header[0]} has no end record")
+                game, seed = _read_typed(obj, "game", int), _read_typed(obj, "seed", int)
+                p0, p1 = _read_typed(obj, "p0", str), _read_typed(obj, "p1", str)
+                header, plies = (game, seed, share(p0, p0), share(p1, p1)), []
+            elif kind not in ("ply", "end"):
+                raise KeyError(f"unknown record type {kind!r}")
+            elif header is None:
+                raise KeyError(f"{kind} record before any game record")
+            elif _read_typed(obj, "game", int) != header[0]:
+                raise ValueError(f"{kind} record for game {obj['game']} inside game {header[0]}")
+            elif kind == "ply":
+                annotation = obj.get("annotation")
+                if annotation is not None and type(annotation) is not dict:
+                    raise ValueError(f"annotation must be an object or null, got {annotation!r}")
+                if annotation:  # its own dict, over shared keys and string values
+                    annotation = {share(k, k): share(v, v) if type(v) is str else v for k, v in annotation.items()}
+                before, after = _read_cells(obj, "cells_before"), _read_cells(obj, "cells_after")
+                text = _read_typed(obj, "action_text", str)
+                ply = _read_typed(obj, "ply", int)
+                if ply < 1:  # numbered from 1: a ply 0 would replay with the seats swapped
+                    raise ValueError(f"ply must be at least 1, got {ply}")
+                plies.append(
+                    PlyRecord(
+                        ply=ply,
+                        role=Role(obj["role"]),
+                        cells_before=share(before, before),
+                        action_code=_read_typed(obj, "action", int),
+                        action_text=share(text, text),
+                        cells_after=share(after, after),
+                        sum_after=_read_typed(obj, "sum_after", int),
+                        status=TerminalStatus.from_label(_read_typed(obj, "status", str)),
+                        annotation=annotation,
                     )
-                else:
-                    if _read_typed(obj, "plies", int) != len(plies):
-                        raise ValueError(f"end record counts {obj['plies']} plies, {len(plies)} were read")
-                    outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
-                    records.append(GameRecord(*header, plies, share(outcome, outcome)))
-                    header = None
-            except (KeyError, ValueError, TypeError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+                )
+            else:
+                if _read_typed(obj, "plies", int) != len(plies):
+                    raise ValueError(f"end record counts {obj['plies']} plies, {len(plies)} were read")
+                outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
+                records.append(GameRecord(*header, plies, share(outcome, outcome)))
+                header = None
+        except (KeyError, ValueError, TypeError) as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     if header is not None:
         raise FormatError(f"{path}: game {header[0]} has no end record")
     return records
@@ -587,16 +585,7 @@ def run_benchmark(
             base_seed=base_seed + i * games,
             label=label,
         )
-        stats = run_matchup(spec)
-        rows.append(
-            BenchmarkRow(
-                label=label,
-                role=role,
-                stats=stats,
-                reference_win_pct=ref_win,
-                reference_avg_moves=ref_moves,
-            )
-        )
+        rows.append(BenchmarkRow(label, role, run_matchup(spec), ref_win, ref_moves))
     return BenchmarkReport(rows=rows, games=games)
 
 

@@ -17,17 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from dataclasses import fields
 
 from .agents import RandomSource
 from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
 from .errors import ConfigError, FormatError
 from .qlearn import CURRICULA, TrainConfig, final_epsilon, save_qtable, train, write_curve
 from .solver import default_solved, export_solved, random_win_prob
-
-# the TrainConfig fields that `flux train` sets from flags of the same name
-_TRAIN_FLAGS = (
-    "episodes", "seed", "alpha", "gamma", "eps_start", "eps_min", "eps_decay", "curriculum", "log_every"
-)
 
 
 def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
@@ -45,7 +42,7 @@ def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
         fh.write("\n")
 
 
-def _options(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+def _options(args: argparse.Namespace, names: Iterable[str]) -> dict:
     """The named options, as the keyword arguments or run.cfg entries they become."""
     return {name: getattr(args, name) for name in names}
 
@@ -56,7 +53,7 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = TrainConfig(**_options(args, _TRAIN_FLAGS))
+    cfg = TrainConfig(**_options(args, (f.name for f in fields(TrainConfig))))
     q_shrinker, q_amplifier, curve = train(cfg)
     out = _ensure_out(args.out)
     shrinker_path = os.path.join(out, "q_shrinker.txt")
@@ -260,11 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train both Q-tables and write them out")
-    defaults = TrainConfig()
-    for name in _TRAIN_FLAGS:  # each flag takes its default and its type from the config
-        default = getattr(defaults, name)
-        choices = CURRICULA if name == "curriculum" else None
-        p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default, choices=choices)
+    for f in fields(TrainConfig):  # one flag per config field, with the field's default and its type
+        choices = CURRICULA if f.name == "curriculum" else None
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default, choices=choices)
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
@@ -313,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ engine object and no randomness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -24,6 +25,8 @@ INITIAL_CELLS = (2, 1, 3, 1, 2)
 SUM_LIMIT = 20
 MAX_PLIES = 15
 TIEBREAK_MIN_CELLS = 3
+_NUMBER = "(?:0|[1-9][0-9]*)"  # in a state key: ASCII digits, no sign, no leading zero
+_CANONICAL_KEY = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*\|{_NUMBER}")  # what state_key writes
 
 
 class Role(Enum):
@@ -98,8 +101,9 @@ class GameState:
 
     ``cells`` must be a tuple of ints; the engine stores it as given and does
     no conversion.  Outside data is converted and checked where it is read:
-    ``state_from_key`` parses keys and ``arena.read_transcripts`` rejects
-    transcript cells that are not plain ints.
+    ``state_from_key`` is strict, taking only the text ``state_key`` writes,
+    and ``arena.read_transcripts`` rejects transcript cells that are not
+    plain ints.
     """
 
     cells: tuple[int, ...]
@@ -192,6 +196,9 @@ def state_key(state: GameState) -> str:
 
 
 def state_from_key(key: str) -> GameState:
+    """The state whose ``state_key`` is ``key``; any text ``state_key`` never writes is a ``ValueError``."""
+    if not _CANONICAL_KEY.fullmatch(key):
+        raise ValueError(f"non-canonical state key {key!r}")
     cells_part, _, moves_part = key.partition("|")
     return GameState(tuple(map(int, cells_part.split(","))), int(moves_part))
 

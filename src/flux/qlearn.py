@@ -4,8 +4,9 @@ Training cycles through three episode modes: the Shrinker learning against a
 random opponent, the Amplifier learning against a random opponent, and
 symmetric self-play where both tables update.  A learner's transition runs
 from one of its own decision points to the next, so the opponent's reply is
-folded into the environment; rewards are +1/-1 at the end of the game and 0
-in between.
+folded into the environment.  The rewards are fixed constants of the recipe,
+``REWARDS``: +1 for a win and -1 for a loss at the end of the game, 0 for every
+step in between; no flag or config field sets them.
 
 A ``QTable`` keeps its rows flat: a key-to-row dict, ten ``float`` slots a row (two codes per opening
 cell; rows never grow) and a bitmask of the updated codes, about 265 bytes a state against 460 as a
@@ -35,13 +36,16 @@ from .engine import (
     state_key,
     status_of,
 )
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, text_lines
 
 CURRICULA = ("roundrobin", "block")  # the episode orders mode_for_episode knows
 
 MODE_SHRINKER_VS_RANDOM = 1
 MODE_AMPLIFIER_VS_RANDOM = 2
 MODE_SELF_PLAY = 3
+
+# the recipe's fixed rewards; digest() hashes them with the config's fields, under these names
+REWARDS = {"reward_win": 1.0, "reward_loss": -1.0, "reward_step": 0.0}
 
 _LEARNS_BY_MODE = {  # whether each seat's table updates
     MODE_SHRINKER_VS_RANDOM: (True, False),
@@ -59,9 +63,6 @@ class TrainConfig:
     eps_start: float = 1.0
     eps_min: float = 0.05
     eps_decay: float = 0.9997
-    reward_win: float = 1.0
-    reward_loss: float = -1.0
-    reward_step: float = 0.0
     curriculum: str = "roundrobin"  # or "block": three contiguous phases
     log_every: int = 1
 
@@ -84,7 +85,7 @@ class TrainConfig:
     def digest(self) -> str:
         """Short stable fingerprint so table files say what produced them."""
         import hashlib  # a set-up that trains nothing never loads it
-        text = "|".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
+        text = "|".join(f"{k}={v}" for k, v in sorted({**asdict(self), **REWARDS}.items()))
         return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
@@ -220,7 +221,7 @@ def run_episode(
         if learns[seat]:
             table, key, n_codes = tables[seat], state_key(state), 2 * len(state.cells)
             if pending[seat]:
-                q_update(table, *pending[seat], cfg.reward_step, key, n_codes, cfg)
+                q_update(table, *pending[seat], REWARDS["reward_step"], key, n_codes, cfg)
             # One draw decides explore vs exploit; a second picks the move
             # only when exploring.
             code = rng.randrange(n_codes) if rng.random() < eps else table.best_code(key, n_codes)
@@ -233,7 +234,7 @@ def run_episode(
 
     for role, table, last in zip(_ROLES, tables, pending):
         if last:
-            reward = cfg.reward_win if status.winner is role else cfg.reward_loss
+            reward = REWARDS["reward_win"] if status.winner is role else REWARDS["reward_loss"]
             q_update(table, *last, reward, None, 0, cfg)
     return EpisodeResult(winner=status.winner, plies=state.moves_played)
 
@@ -343,61 +344,59 @@ def save_qtable(q: QTable, path: str) -> None:
 def load_qtable(path: str) -> QTable:
     headers: dict[str, str] = {}
     q = None  # made at the first line after the headers
-    with open(path, "r", encoding="ascii") as fh:
-        for i, line in enumerate(chain(fh, [""]), 1):  # the last "" makes a table of a file without rows
-            line = line.rstrip("\n")
-            if q is None:
-                if line.startswith("#"):
-                    name, sep, value = line[1:].partition("=")
-                    if not sep:
-                        raise FormatError(f"{path}: line {i}: malformed header {line!r}")
-                    headers[name] = value
-                    continue
-                for required in ("role", "episodes", "config_digest"):
-                    if required not in headers:
-                        raise FormatError(f"{path}: line 1: missing #{required}= header")
-                try:
-                    role, episodes = Role(headers["role"]), int(headers["episodes"])
-                    q = QTable(role, episodes=episodes, config_digest=headers["config_digest"])
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
-                index, values, masks = q._index, q._q, q._seen
-            if not line:
+    lines = chain(text_lines(path, "ascii", FormatError), [""])  # the last "" makes a table of a file without rows
+    for i, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if q is None:
+            if line.startswith("#"):
+                name, sep, value = line[1:].partition("=")
+                if not sep:
+                    raise FormatError(f"{path}: line {i}: malformed header {line!r}")
+                headers[name] = value
                 continue
-            key, sep, cells = line.partition("\t")
-            if not sep or not cells:
-                raise FormatError(f"{path}: line {i}: expected '<state>\\t<code>=<value>;...'")
+            for required in ("role", "episodes", "config_digest"):
+                if required not in headers:
+                    raise FormatError(f"{path}: line 1: missing #{required}= header")
             try:
-                state = state_from_key(key)
-                # state_key never writes "02", " 2" or "+0", no agent moves in a finished state, and
-                # rows never grow: a row under such a key would never be looked up
-                if state_key(state) != key:
-                    raise ValueError(f"non-canonical state key {key!r}")
-                if status_of(state) is not ONGOING:
-                    raise ValueError(f"finished state {key!r} is never looked up")
-                if key in index:
-                    raise ValueError(f"repeated state key {key!r}")
-                n_codes, seen, base = 2 * len(state.cells), 0, len(values)
-                if n_codes > _ROW:
-                    raise ValueError(f"state {key!r} has more cells than the opening")
-                values.frombytes(_ZERO_ROW)
-                for item in cells.split(";"):
-                    code_s, sep2, value_s = item.partition("=")
-                    if not sep2:
-                        raise ValueError(f"bad entry {item!r}")
-                    code, value = int(code_s), float(value_s)
-                    if not 0 <= code < n_codes:
-                        raise ValueError(f"code {code} out of range for key {key!r}")
-                    if not isfinite(value):
-                        raise ValueError(f"non-finite value for code {code}")
-                    if seen & (bit := 1 << code):
-                        raise ValueError(f"repeated code {code} for key {key!r}")
-                    values[base + code] = value
-                    seen |= bit
+                role, episodes = Role(headers["role"]), int(headers["episodes"])
+                q = QTable(role, episodes=episodes, config_digest=headers["config_digest"])
             except ValueError as exc:
-                raise FormatError(f"{path}: line {i}: {exc}") from exc
-            index[key] = len(masks)
-            masks.append(seen)
+                raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
+            index, values, masks = q._index, q._q, q._seen
+        if not line:
+            continue
+        key, sep, cells = line.partition("\t")
+        if not sep or not cells:
+            raise FormatError(f"{path}: line {i}: expected '<state>\\t<code>=<value>;...'")
+        try:
+            # state_from_key takes only canonical keys, no agent moves in a finished state, and
+            # rows never grow: a row under any other key would never be looked up
+            state = state_from_key(key)
+            if status_of(state) is not ONGOING:
+                raise ValueError(f"finished state {key!r} is never looked up")
+            if key in index:
+                raise ValueError(f"repeated state key {key!r}")
+            n_codes, seen, base = 2 * len(state.cells), 0, len(values)
+            if n_codes > _ROW:
+                raise ValueError(f"state {key!r} has more cells than the opening")
+            values.frombytes(_ZERO_ROW)
+            for item in cells.split(";"):
+                code_s, sep2, value_s = item.partition("=")
+                if not sep2:
+                    raise ValueError(f"bad entry {item!r}")
+                code, value = int(code_s), float(value_s)
+                if not 0 <= code < n_codes:
+                    raise ValueError(f"code {code} out of range for key {key!r}")
+                if not isfinite(value):
+                    raise ValueError(f"non-finite value for code {code}")
+                if seen & (bit := 1 << code):
+                    raise ValueError(f"repeated code {code} for key {key!r}")
+                values[base + code] = value
+                seen |= bit
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {i}: {exc}") from exc
+        index[key] = len(masks)
+        masks.append(seen)
     return q
 
 

@@ -166,14 +166,13 @@ class _Table(Mapping):
         self._graph, self._moves, self._values, self._decode = graph, moves, values, decode
 
     def __getitem__(self, key: object) -> object:
-        ids, _, _, prefixes = self._graph
         try:
-            state = state_from_key(key)
-        except (AttributeError, TypeError, ValueError):
+            state = state_from_key(key)  # strict, so a state found here has exactly this key
+        except (TypeError, ValueError):
             raise KeyError(key) from None
         # decode gives None off the graph and where the row is not in the layer (score 0, or None)
         value = self._decode(_at(self._graph, self._moves, self._values, state))
-        if value is None or prefixes[ids[state.cells]] + str(state.moves_played) != key:
+        if value is None:
             raise KeyError(key)
         return value
 

@@ -189,6 +189,26 @@ class TestReplayAndClassify:
         assert (out / "failures.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, encoding",
+    [
+        (("replay", "{bad}"), "utf-8"),
+        (("classify", "{bad}"), "utf-8"),
+        (("benchmark", "--q-shrinker", "{bad}", "--q-amplifier", "{bad}", "--games", 1), "ascii"),
+        (("tournament", "--p0", "rl:{bad}", "--p1", "random", "--games", 1), "ascii"),
+        (("tournament", "--p0", "llm:scripted={bad}", "--p1", "random", "--games", 1), "utf-8"),
+    ],
+    ids=["replay", "classify", "benchmark", "tournament-rl", "tournament-scripted"],
+)
+def test_undecodable_files_exit_2(tmp_path, capsys, argv, encoding):
+    # a byte that does not decode used to end in a UnicodeDecodeError traceback and exit 1
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"#role=shrinker\n\xff\n")
+    assert run(*(str(a).format(bad=bad) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: byte 0xff is not {encoding} text" in err
+
+
 def test_benchmark_writes_report_and_stats(tmp_path, capsys):
     train_out = tmp_path / "train"
     assert run("train", "--episodes", 800, "--seed", 6, "-o", train_out) == 0

@@ -226,6 +226,25 @@ def test_state_key_round_trip():
         assert state_key(state_from_key(key)) == key
 
 
+def test_every_reachable_state_round_trips_through_its_key():
+    reach = reachable_states()
+    states = [*reach.ongoing, *(s for s, _ in reach.terminal)]
+    assert len(states) == 16613
+    for state in states:
+        assert state_from_key(state_key(state)) == state
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["02,1|0", "2,01|0", "2,1|00", "+2,1|0", "-2,1|0", " 2,1|0", "2,1|0\n", "2,,1|0", "|0", "2,1|", "2,1",
+     "2_0,1|0", "\u0663,1|0", "2,1|0|0", ""],
+)
+def test_state_from_key_takes_only_canonical_keys(key):
+    # int() reads several of these, but state_key writes none of them
+    with pytest.raises(ValueError, match="non-canonical state key"):
+        state_from_key(key)
+
+
 def test_random_playouts_stay_consistent():
     for seed in range(200):
         visited = random_playout(seed)

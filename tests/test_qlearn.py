@@ -75,6 +75,11 @@ class TestConfig:
         assert len(a) == 16
         int(a, 16)  # hex
 
+    def test_default_digest_is_pinned(self):
+        # the header of every table the standard recipe writes, the fixture's included;
+        # the fixed rewards are hashed with the fields, so moving them cannot change it
+        assert TrainConfig().digest() == "d1424ee65e762169"
+
 
 class TestEpsilon:
     def test_schedule_start(self):
@@ -306,7 +311,8 @@ class TestSerialization:
         assert "line 5" in str(err.value) and "non-finite value for code 1" in str(err.value)
 
     @pytest.mark.parametrize(
-        "key", ["02,1,3,1,2|0", " 2,1,3,1,2|0", "2,1,3,1,2|00", "2,1,3,1,2|+0"]
+        "key",
+        ["02,1,3,1,2|0", " 2,1,3,1,2|0", "2,1,3,1,2|00", "2,1,3,1,2|+0", "2,01|0", "+2,1|0", "2,,1|0", "|0", "2,1|", "2,1", "2_0,1|0", "2,1|0|0", ""],
     )
     def test_non_canonical_key_is_an_error(self, tmp_path, key):
         # int() reads these, but state_key never writes them, so the row

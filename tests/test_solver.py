@@ -266,7 +266,7 @@ def test_tables_behave_like_read_only_dicts():
     # only the canonical key of a state it holds, and it cannot be changed
     opening = state_key(initial_state())
     # not canonical, not reachable, not a string, not a key
-    missing = ("02,1,3,1,2|0", "2,1,3,1,2|1", 5, "x|y")
+    missing = ("02,1,3,1,2|0", "2,1,3,1,2|1", 5, "x|y", "2,01|0", "+2,1|0", "2,,1|0", "|0", "2,1|", "2,1", "2_0,1|0", "2,1|0|0", "")
     for table, sub_table in zip(_four_tables(initial_state()), _four_tables(SUB_ROOT)):
         assert len(table) == len(list(table)) == 16613
         assert opening in table and table.get(opening) == table[opening]
