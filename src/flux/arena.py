@@ -26,7 +26,6 @@ from .engine import (
     Action,
     GameState,
     Op,
-    Reason,
     Role,
     TerminalStatus,
     apply,
@@ -376,15 +375,15 @@ def read_transcripts(path: str) -> list[GameRecord]:
                         action_text=share(text, text),
                         cells_after=share(after, after),
                         sum_after=_read_typed(obj, "sum_after", int),
-                        status=TerminalStatus.from_label(_read_typed(obj, "status", str)),
+                        status=TerminalStatus(_read_typed(obj, "status", str)),
                         annotation=annotation,
                     )
                 )
             else:
                 if _read_typed(obj, "plies", int) != len(plies):
                     raise ValueError(f"end record counts {obj['plies']} plies, {len(plies)} were read")
-                outcome = TerminalStatus(Role(obj["winner"]), Reason(obj["reason"]))
-                records.append(GameRecord(*header, plies, share(outcome, outcome)))
+                winner, reason = _read_typed(obj, "winner", str), _read_typed(obj, "reason", str)
+                records.append(GameRecord(*header, plies, TerminalStatus(f"{winner}:{reason}")))
                 header = None
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
@@ -394,13 +393,11 @@ def read_transcripts(path: str) -> list[GameRecord]:
 
 
 def _shown(ply: PlyRecord, name: str) -> str:
-    """One field of a ply as a mismatch shows it: rows as lists, statuses as labels, roles as values."""
+    """One field of a ply as a mismatch shows it: rows as lists, statuses and roles as their values."""
     value = getattr(ply, name)
     if type(value) is tuple:
         value = list(value)
-    elif isinstance(value, TerminalStatus):
-        value = value.label
-    elif isinstance(value, Role):
+    elif isinstance(value, (TerminalStatus, Role)):
         value = value.value
     return repr(value)
 
@@ -486,8 +483,7 @@ def classify_failure(record: GameRecord, solved: SolvedGame | None = None) -> li
         if (
             p.role is Role.SHRINKER
             and action.op is Op.AMPLIFY
-            and p.status.is_terminal
-            and p.status.reason is Reason.SUM_EXCEEDED_20
+            and p.status is TerminalStatus.SUM_EXCEEDED_20
             and _had_safe_alternative(before, p.role, action)
         ):
             tags.append((p.ply, TAG_SUM_BLINDNESS))
@@ -597,14 +593,15 @@ STATS_CSV_HEADER = "matchup,role,wins,games,win_rate,ci_low,ci_high,avg_moves,in
 
 
 def write_stats_csv(entries: list[tuple[str, Role, MatchStats]], path: str) -> None:
-    lines = [STATS_CSV_HEADER]
-    for label, role, stats in entries:
-        wins = stats.wins_for(role)
-        lo, hi = compute_ci(wins, stats.games)
-        lines.append(
-            f"{label},{role.value},{wins},{stats.games},"
-            f"{wins / stats.games:.6f},{lo:.6f},{hi:.6f},"
-            f"{stats.avg_moves:.4f},{100.0 * stats.invalid_fraction:.4f}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One UTF-8 row per entry; ``csv`` quotes a label that holds a comma, a quote or a newline."""
+    import csv  # loaded here, not at start-up: only a run that writes stats.csv needs it
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(STATS_CSV_HEADER + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        for label, role, stats in entries:
+            wins = stats.wins_for(role)
+            lo, hi = compute_ci(wins, stats.games)
+            writer.writerow(
+                (label, role.value, wins, stats.games, f"{wins / stats.games:.6f}", f"{lo:.6f}", f"{hi:.6f}",
+                 f"{stats.avg_moves:.4f}", f"{100.0 * stats.invalid_fraction:.4f}")
+            )

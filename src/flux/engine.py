@@ -61,38 +61,31 @@ class Reason(Enum):
     TIEBREAK_AT_LEAST_3 = "tiebreak_at_least_3"
 
 
-@dataclass(frozen=True)
-class TerminalStatus:
-    """Outcome marker: ``ONGOING`` or a winner plus the rule that fired."""
+class TerminalStatus(Enum):
+    """The five outcome markers the rules produce: ``ONGOING`` and the four endings.
 
-    winner: Role | None = None
-    reason: Reason | None = None
+    Each value is the marker's label, ``ongoing`` or ``<winner>:<reason>``, so
+    ``TerminalStatus(label)`` reads a label back and raises ``ValueError`` for
+    any other text.
+    """
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.winner is not None
+    ONGOING = "ongoing"
+    SUM_EXCEEDED_20 = "amplifier:sum_exceeded_20"
+    SINGLE_CELL = "shrinker:single_cell"
+    TIEBREAK_FEWER_THAN_3 = "shrinker:tiebreak_fewer_than_3"
+    TIEBREAK_AT_LEAST_3 = "amplifier:tiebreak_at_least_3"
 
-    @property
-    def label(self) -> str:
-        if not self.is_terminal:
-            return "ongoing"
-        return f"{self.winner.value}:{self.reason.value}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "TerminalStatus":
-        if label in _BY_LABEL:
-            return _BY_LABEL[label]
+    def __init__(self, label: str) -> None:
         winner, _, reason = label.partition(":")
-        return cls(Role(winner), Reason(reason))
+        self.label = label
+        self.winner: Role | None = Role(winner) if reason else None
+        self.reason: Reason | None = Reason(reason) if reason else None
+        self.is_terminal = self.winner is not None
 
 
-ONGOING = TerminalStatus()
-# status_of and from_label hand out these shared values rather than new ones
-_SUM_EXCEEDED = TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20)
-_SINGLE_CELL = TerminalStatus(Role.SHRINKER, Reason.SINGLE_CELL)
-_TIEBREAK_FEW = TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3)
-_TIEBREAK_MANY = TerminalStatus(Role.AMPLIFIER, Reason.TIEBREAK_AT_LEAST_3)
-_BY_LABEL = {s.label: s for s in (ONGOING, _SUM_EXCEEDED, _SINGLE_CELL, _TIEBREAK_FEW, _TIEBREAK_MANY)}
+# status_of hands out these aliases, loaded through module names as Role's are
+ONGOING, _SUM_EXCEEDED, _SINGLE_CELL = TerminalStatus.ONGOING, TerminalStatus.SUM_EXCEEDED_20, TerminalStatus.SINGLE_CELL
+_TIEBREAK_FEW, _TIEBREAK_MANY = TerminalStatus.TIEBREAK_FEWER_THAN_3, TerminalStatus.TIEBREAK_AT_LEAST_3
 
 
 @dataclass(frozen=True, slots=True)

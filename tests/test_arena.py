@@ -72,7 +72,7 @@ class TestVerify:
             ("sum_after", 99, "game 0 ply 3: sum_after 99 != replayed 10"),
             (
                 "status",
-                TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20),
+                TerminalStatus.SUM_EXCEEDED_20,
                 "game 0 ply 3: status 'amplifier:sum_exceeded_20' != replayed 'ongoing'",
             ),
         ],
@@ -104,7 +104,7 @@ class TestVerify:
 
     def test_wrong_outcome_is_caught(self):
         bad = self.make_record()
-        bad.outcome = TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3)
+        bad.outcome = TerminalStatus.TIEBREAK_FEWER_THAN_3
         assert verify_record(bad) == [
             "game 0: outcome 'shrinker:tiebreak_fewer_than_3' != replayed 'amplifier:sum_exceeded_20'"
         ]

@@ -1,5 +1,6 @@
 """End-to-end command-line tests; everything goes through main(argv)."""
 
+import csv
 import io
 import json
 from dataclasses import asdict
@@ -83,6 +84,19 @@ class TestTournament:
         assert len(records) == 10
         assert "games" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("label", [None, "café"], ids=["default-with-comma", "non-ascii"])
+    def test_stats_csv_keeps_any_label_in_one_field(self, tmp_path, capsys, label):
+        # a comma in the default label used to split it over two fields; a non-ASCII one raised after the games
+        script = tmp_path / "a,b.txt"
+        script.write_text("DRAIN 1\nAMPLIFY 0\n")
+        p0 = f"llm:scripted={script}"
+        argv = ("tournament", "--p0", p0, "--p1", "random", "--games", 2, "-o", tmp_path / "t")
+        assert run(*argv, *(("--label", label) if label else ())) == 0
+        with open(tmp_path / "t" / "stats.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [row[0] for row in rows[1:]] == [label or f"{p0} vs random"] * 2
+
     def test_outcomes_print_in_reason_order(self, capsys):
         # the first game ends by sum_exceeded_20, but the line lists reasons sorted
         assert run("tournament", "--p0", "random", "--p1", "random", "--games", 20, "--seed", 0) == 0
@@ -161,6 +175,26 @@ class TestReplayAndClassify:
         transcripts.write_text("\n".join(lines) + "\n")
         assert run("classify", transcripts, "-o", tmp_path / "c") == 2
         assert f"line {lineno + 1}: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "classify"])
+    @pytest.mark.parametrize("kind", ["ply", "end"])
+    def test_a_status_no_rule_produces_exits_2(self, transcripts, capsys, command, kind):
+        # a shrinker win by sum_exceeded_20 used to read cleanly and fail replay as a mismatch, exit 1
+        lines = transcripts.read_text().splitlines()
+        end = next(i for i, line in enumerate(lines) if json.loads(line).get("reason") == "sum_exceeded_20")
+        lineno = end if kind == "end" else end - 1
+        obj = json.loads(lines[lineno])
+        if kind == "end":
+            obj["winner"] = "shrinker"
+        else:
+            assert obj["status"] == "amplifier:sum_exceeded_20"
+            obj["status"] = "shrinker:sum_exceeded_20"
+        lines[lineno] = json.dumps(obj)
+        transcripts.write_text("\n".join(lines) + "\n")
+        assert run(command, transcripts) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{transcripts}: line {lineno + 1}: 'shrinker:sum_exceeded_20' is not a valid TerminalStatus" in err
 
     def test_classify_stops_on_a_transcript_that_does_not_replay(self, tmp_path, capsys):
         out = tmp_path / "one"

@@ -92,13 +92,13 @@ class TestStatus:
 
     def test_label_round_trip(self):
         for status in (
-            TerminalStatus(Role.SHRINKER, Reason.SINGLE_CELL),
-            TerminalStatus(Role.AMPLIFIER, Reason.SUM_EXCEEDED_20),
-            TerminalStatus(Role.SHRINKER, Reason.TIEBREAK_FEWER_THAN_3),
-            TerminalStatus(Role.AMPLIFIER, Reason.TIEBREAK_AT_LEAST_3),
+            TerminalStatus.SINGLE_CELL,
+            TerminalStatus.SUM_EXCEEDED_20,
+            TerminalStatus.TIEBREAK_FEWER_THAN_3,
+            TerminalStatus.TIEBREAK_AT_LEAST_3,
             ONGOING,
         ):
-            assert TerminalStatus.from_label(status.label) == status
+            assert TerminalStatus(status.label) is status
 
     def test_labels_read_back_as_the_shared_values(self):
         # the four terminal values status_of returns, plus ONGOING
@@ -110,11 +110,10 @@ class TestStatus:
             GameState((2, 1, 3, 1, 2), 0),
         ):
             s = status_of(state)
-            assert TerminalStatus.from_label(s.label) is s
-        # a well-formed pair no rule produces still parses, to a value of its own
-        odd = TerminalStatus.from_label("shrinker:sum_exceeded_20")
-        assert odd == TerminalStatus(Role.SHRINKER, Reason.SUM_EXCEEDED_20)
-        assert odd is not TerminalStatus.from_label("shrinker:sum_exceeded_20")
+            assert TerminalStatus(s.label) is s
+        # a well-formed pair no rule produces is not a status
+        with pytest.raises(ValueError):
+            TerminalStatus("shrinker:sum_exceeded_20")
 
 
 class TestApply:
@@ -232,6 +231,8 @@ def test_every_reachable_state_round_trips_through_its_key():
     assert len(states) == 16613
     for state in states:
         assert state_from_key(state_key(state)) == state
+    for _, status in reach.terminal:
+        assert TerminalStatus(status.label) is status
 
 
 @pytest.mark.parametrize(
