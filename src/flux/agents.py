@@ -108,13 +108,13 @@ class GreedyQAgent(AgentPolicy):
 
     def __init__(self, qtable: "QTable") -> None:
         super().__init__()
-        self.qtable = qtable
+        from .qlearn import live_states  # qlearn imports this module
+        self.qtable, self._live = qtable, live_states()
 
     def choose(self, state, role, rng):
-        key = state_key(state)
-        if key not in self.qtable._index:
+        n, k = self._live.find(state.cells, state.moves_played), len(state.cells)
+        if n < 0 or self.qtable._index[n] < 0:
             self.last_annotation = {"fallback": True}
             return random_policy(state, rng)
         self.last_annotation = None
-        n = len(state.cells)
-        return decode_action(self.qtable.best_code(key, 2 * n), n)
+        return decode_action(self.qtable.best_code(n, 2 * k), k)

@@ -348,6 +348,8 @@ def read_transcripts(path: str) -> list[GameRecord]:
                     raise ValueError(f"game {header[0]} has no end record")
                 game, seed = _read_typed(obj, "game", int), _read_typed(obj, "seed", int)
                 p0, p1 = _read_typed(obj, "p0", str), _read_typed(obj, "p1", str)
+                if obj["p0_role"] != Role.SHRINKER.value:  # player 0 always sits as the Shrinker
+                    raise ValueError(f"p0_role must be 'shrinker', got {obj['p0_role']!r}")
                 header, plies = (game, seed, share(p0, p0), share(p1, p1)), []
             elif kind not in ("ply", "end"):
                 raise KeyError(f"unknown record type {kind!r}")

@@ -8,35 +8,28 @@ folded into the environment.  The rewards are fixed constants of the recipe,
 ``REWARDS``: +1 for a win and -1 for a loss at the end of the game, 0 for every
 step in between; no flag or config field sets them.
 
-A ``QTable`` keeps its rows flat: a key-to-row dict, ten ``float`` slots a row (two codes per opening
-cell; rows never grow) and a bitmask of the updated codes, about 265 bytes a state against 460 as a
-dict of dicts.  Its ``entries`` read each row as a fresh dict, a read-only copy.
+Tables index the standard game's 8,410 live states by number (``LiveStates``).  A ``QTable`` keeps
+flat stores: an array from state number to row (-1 for none), each row's state number, ten ``float``
+slots a row (two codes per opening cell; rows never grow) and a bitmask of the updated codes.  An
+episode walks ``game_graph`` by move count and row id, building no state and no key: state keys
+exist only in table files and in ``entries``, which reads each row as a fresh dict, a read-only copy.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import chain
 from math import isfinite
 
-from .agents import RandomSource, random_policy
-from .engine import (
-    _ROLES,
-    INITIAL_CELLS,
-    ONGOING,
-    GameState,
-    Role,
-    _row_actions,
-    _seat_to_move,
-    _step,
-    initial_state,
-    state_from_key,
-    state_key,
-    status_of,
-)
+from .agents import RandomSource
+from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, ONGOING, GameState, Role, _seat_to_move, initial_state,
+                     state_from_key, status_of)
 from .errors import ConfigError, FormatError, text_lines
+from .solver import game_graph
 
 CURRICULA = ("roundrobin", "block")  # the episode orders mode_for_episode knows
 
@@ -93,6 +86,49 @@ _ROW = 2 * len(INITIAL_CELLS)  # Q slots per row: two codes per opening cell, as
 _ZERO_ROW = bytes(8 * _ROW)  # a row of 0.0
 
 
+class LiveStates:
+    """The standard game's live states on ``game_graph``, numbered in order of (move count, row id).
+
+    A state's position is ``moves * width + row``, and ``at[n]`` is the position of number ``n``; ``at``
+    is sorted, so bisection finds a position's number.  The graph is kept here: a solve of another root
+    evicts ``game_graph``'s cached copy but forces no rebuild.
+    """
+
+    def __init__(self) -> None:
+        self.ids, self.kids, layers, self.prefixes = game_graph(initial_state())
+        self.rows, self.width = list(self.ids), len(self.ids)  # rows: row id -> cells
+        self.at = array("H", sorted(moves * self.width + row for moves, (layer, statuses) in enumerate(layers)
+                                    for row, status in zip(layer, statuses) if status is ONGOING))
+
+    def number_at(self, pos: int) -> int:
+        """The number of the state at position ``pos``, or -1 if that state is finished or unreached."""
+        n = bisect_left(self.at, pos)
+        return n if n < len(self.at) and self.at[n] == pos else -1
+
+    def find(self, cells: tuple[int, ...], moves: int) -> int:
+        """The number of the live state ``GameState(cells, moves)``, or -1 if it has none."""
+        row = self.ids.get(cells)
+        return -1 if row is None or not 0 <= moves < MAX_PLIES else self.number_at(moves * self.width + row)
+
+    def key(self, n: int) -> str:
+        return self.prefixes[self.at[n] % self.width] + str(self.at[n] // self.width)
+
+    def number(self, key: str) -> int:
+        """The number of the live state whose ``state_key`` is ``key``; any other text is a ``ValueError``."""
+        cells, _, moves = key.partition("|")
+        try:
+            n = self.find(tuple(map(int, cells.split(","))), int(moves))
+        except ValueError:
+            n = -1
+        if n < 0 or self.key(n) != key:  # int() also reads " 1", "+1" and "1_0"
+            finished = status_of(state_from_key(key)).is_terminal  # state_from_key raises on other text
+            raise ValueError(f"{'finished' if finished else 'unreachable'} state {key!r} is never looked up")
+        return n
+
+
+live_states = cache(LiveStates)  # built once per process, by the first table
+
+
 class _Rows(Mapping):
     """``QTable.entries``: a row reads as a fresh ``{code: value}`` dict; ``entries[key] = row`` writes one."""
 
@@ -101,59 +137,62 @@ class _Rows(Mapping):
 
     def __getitem__(self, key: str) -> dict[int, float]:
         t = self._table
-        row = t._index[key]
+        try:
+            row = t._index[live_states().number(key)]
+        except (AttributeError, ValueError):  # not a string, or no live state's key
+            row = -1
+        if row < 0:
+            raise KeyError(key)
         return {code: t._q[row * _ROW + code] for code in range(_ROW) if t._seen[row] >> code & 1}
 
     def __setitem__(self, key: str, values: Mapping[int, float]) -> None:
         if not all(0 <= code < _ROW for code in values):
             raise ValueError(f"codes must lie in 0..{_ROW - 1}, not {list(values)}")
         t = self._table
-        row = t._row(key)
+        row = t._row(live_states().number(key))
         t._q[row * _ROW : (row + 1) * _ROW] = array("d", (values.get(c, 0.0) for c in range(_ROW)))
         t._seen[row] = sum(1 << code for code in values)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._table._index
-
     def __len__(self) -> int:
-        return len(self._table._index)
+        return len(self._table._seen)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._table._index)
+        return map(live_states().key, self._table._numbers)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Rows):
             return Mapping.__eq__(self, other)
         a, b = self._table, other._table  # a slot never updated holds 0.0 in both
-        return a._index.keys() == b._index.keys() and all(
-            a._seen[i] == b._seen[j] and a._q[i * _ROW : (i + 1) * _ROW] == b._q[j * _ROW : (j + 1) * _ROW]
-            for i, j in zip(a._index.values(), map(b._index.get, a._index))
+        return len(a._seen) == len(b._seen) and all(
+            (j := b._index[n]) >= 0 and a._seen[i] == b._seen[j]
+            and a._q[i * _ROW : (i + 1) * _ROW] == b._q[j * _ROW : (j + 1) * _ROW]
+            for i, n in enumerate(a._numbers)
         )
 
 
 class QTable:
-    """One role's action values, in the three flat stores the module docstring describes."""
+    """One role's action values, by state number, in the flat stores the module docstring describes."""
 
     def __init__(self, role: Role, entries: Mapping | None = None, episodes: int = 0, config_digest: str = ""):
         self.role, self.episodes, self.config_digest = role, episodes, config_digest
-        self._index, self._q, self._seen = {}, array("d"), array("H")
+        self._index = array("h", [-1]) * len(live_states().at)
+        self._numbers, self._q, self._seen = array("h"), array("d"), array("H")
         for key, row in (entries or {}).items():
             self.entries[key] = row
 
     entries = property(_Rows)  # a view per read: one kept on the table would make a reference cycle
 
-    def _row(self, key: str) -> int:  # key's row number, appending a row of 0.0 if it has none yet
-        row = self._index.get(key)
-        if row is None:
-            row = self._index[key] = len(self._seen)
+    def _row(self, n: int) -> int:  # state n's row number, appending a row of 0.0 if it has none yet
+        if (row := self._index[n]) < 0:
+            row = self._index[n] = len(self._seen)
+            self._numbers.append(n)
             self._q.frombytes(_ZERO_ROW)
             self._seen.append(0)
         return row
 
-    def best_code(self, key: str, n_codes: int) -> int:
-        """Argmax over codes 0..n_codes-1 with 0.0 defaults; ties take the lowest code."""
-        row = self._index.get(key)
-        if row is None:
+    def best_code(self, n: int, n_codes: int) -> int:
+        """Argmax over state ``n``'s codes 0..n_codes-1 with 0.0 defaults; ties take the lowest code."""
+        if (row := self._index[n]) < 0:
             return 0
         values = self._q[row * _ROW : row * _ROW + n_codes]
         return values.index(max(values))  # 0.0 == -0.0, so they tie too
@@ -170,73 +209,54 @@ def mode_for_episode(episode: int, cfg: TrainConfig) -> int:
     return episode % 3 + 1
 
 
-def q_update(
-    q: QTable,
-    key: str,
-    a_code: int,
-    reward: float,
-    next_key: str | None,
-    next_n_codes: int,  # the next state's count of legal codes
-    cfg: TrainConfig,
-) -> None:
-    """One Bellman backup.  ``next_key=None`` marks a terminal transition (bootstrap 0)."""
+def q_update(q: QTable, n: int, a_code: int, reward: float, next_n: int | None, next_n_codes: int,
+             cfg: TrainConfig) -> None:
+    """One Bellman backup between state numbers; ``next_n=None`` marks a terminal transition (bootstrap 0)."""
     target = reward
-    if next_key is not None:
-        nxt = q._index.get(next_key)
+    if next_n is not None:
+        nxt = q._index[next_n]
         # a row holds values only under legal codes, and 0.0 under the ones never updated
-        best = 0.0 if nxt is None else max(q._q[nxt * _ROW : nxt * _ROW + next_n_codes])
+        best = 0.0 if nxt < 0 else max(q._q[nxt * _ROW : nxt * _ROW + next_n_codes])
         target += cfg.gamma * best
-    row = q._row(key)
+    if (row := q._index[n]) < 0:
+        row = q._row(n)
     slot = row * _ROW + a_code
     q._q[slot] += cfg.alpha * (target - q._q[slot])
     q._seen[row] |= 1 << a_code
 
 
-@dataclass
-class EpisodeResult:
-    winner: Role
-    plies: int
+def run_episode(mode: int, q_shrinker: QTable, q_amplifier: QTable, episode_idx: int, cfg: TrainConfig,
+                rng: RandomSource) -> tuple[Role, int]:
+    """Play one training game, updating whichever tables the mode marks as learners; return (winner, plies).
 
-
-def run_episode(
-    mode: int,
-    q_shrinker: QTable,
-    q_amplifier: QTable,
-    episode_idx: int,
-    cfg: TrainConfig,
-    rng: RandomSource,
-) -> EpisodeResult:
-    """Play one training game, updating whichever tables the mode marks as learners.
-
-    A ply is one ``_step`` and one ``status_of``; a seat indexes the tables by ``player_index``.
+    A ply steps along the standard graph's ``kids`` by (move count, row id) and reads the next state's
+    number, -1 once the game is over; a seat indexes the tables by ``player_index``.
     """
-    learns = _LEARNS_BY_MODE[mode]
-    tables = (q_shrinker, q_amplifier)
-    eps = epsilon_at(episode_idx, cfg)
-
-    state, status = initial_state(), ONGOING
-    pending: list[tuple[str, int] | None] = [None, None]  # each seat's last (key, code)
-    while status is ONGOING:
-        seat = _seat_to_move(state.moves_played)
+    learns, tables, eps = _LEARNS_BY_MODE[mode], (q_shrinker, q_amplifier), epsilon_at(episode_idx, cfg)
+    live = live_states()
+    kids, number_at, width = live.kids, live.number_at, live.width
+    moves = row = n = 0  # the opening: move count 0, row id 0, state number 0
+    pending: list[tuple[int, int] | None] = [None, None]  # each seat's last (state number, code)
+    while n >= 0:
+        seat, codes = _seat_to_move(moves), kids[row]
         if learns[seat]:
-            table, key, n_codes = tables[seat], state_key(state), 2 * len(state.cells)
+            table, n_codes = tables[seat], len(codes)
             if pending[seat]:
-                q_update(table, *pending[seat], REWARDS["reward_step"], key, n_codes, cfg)
-            # One draw decides explore vs exploit; a second picks the move
-            # only when exploring.
-            code = rng.randrange(n_codes) if rng.random() < eps else table.best_code(key, n_codes)
-            pending[seat] = (key, code)
-            action = _row_actions(len(state.cells))[code]
+                q_update(table, *pending[seat], REWARDS["reward_step"], n, n_codes, cfg)
+            # one draw decides explore vs exploit; a second picks the move only when exploring
+            code = rng.randrange(n_codes) if rng.random() < eps else table.best_code(n, n_codes)
+            pending[seat] = (n, code)
         else:
-            action = random_policy(state, rng)
-        state = GameState(_step(state.cells, action.index, action.op), state.moves_played + 1)
-        status = status_of(state)
+            code = rng.randrange(len(codes))  # random_policy's one draw
+        moves, row = moves + 1, codes[code]
+        n = number_at(moves * width + row)
+    status = status_of(GameState(live.rows[row], moves))
 
     for role, table, last in zip(_ROLES, tables, pending):
         if last:
             reward = REWARDS["reward_win"] if status.winner is role else REWARDS["reward_loss"]
             q_update(table, *last, reward, None, 0, cfg)
-    return EpisodeResult(winner=status.winner, plies=state.moves_played)
+    return status.winner, moves
 
 
 @dataclass
@@ -303,19 +323,11 @@ def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
     curve = Curve()
     for episode in range(cfg.episodes):
         mode = mode_for_episode(episode, cfg)
-        result = run_episode(mode, q_shrinker, q_amplifier, episode, cfg, rng)
+        winner, plies = run_episode(mode, q_shrinker, q_amplifier, episode, cfg, rng)
         if episode % cfg.log_every == 0 or episode == cfg.episodes - 1:
-            curve.append(
-                CurvePoint(
-                    episode=episode,
-                    mode=mode,
-                    epsilon=epsilon_at(episode, cfg),
-                    winner=result.winner,
-                    plies=result.plies,
-                    states_shrinker=len(q_shrinker._index),
-                    states_amplifier=len(q_amplifier._index),
-                )
-            )
+            point = CurvePoint(episode=episode, mode=mode, epsilon=epsilon_at(episode, cfg), winner=winner, plies=plies,
+                               states_shrinker=len(q_shrinker._seen), states_amplifier=len(q_amplifier._seen))
+            curve.append(point)
     return q_shrinker, q_amplifier, curve
 
 
@@ -332,10 +344,10 @@ def final_epsilon(cfg: TrainConfig) -> float:
 
 
 def save_qtable(q: QTable, path: str) -> None:
-    values, masks = q._q, q._seen
+    values, masks, key_of = q._q, q._seen, live_states().key
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#role={q.role.value}\n#episodes={q.episodes}\n#config_digest={q.config_digest}\n")
-        for key, row in sorted(q._index.items()):
+        for key, row in sorted((key_of(n), row) for row, n in enumerate(q._numbers)):
             seen = masks[row]
             cells = ";".join([f"{c}={values[row * _ROW + c]!r}" for c in range(seen.bit_length()) if seen >> c & 1])
             fh.write(f"{key}\t{cells}\n")
@@ -362,24 +374,19 @@ def load_qtable(path: str) -> QTable:
                 q = QTable(role, episodes=episodes, config_digest=headers["config_digest"])
             except ValueError as exc:
                 raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
-            index, values, masks = q._index, q._q, q._seen
+            index, values, live = q._index, q._q, live_states()
         if not line:
             continue
         key, sep, cells = line.partition("\t")
         if not sep or not cells:
             raise FormatError(f"{path}: line {i}: expected '<state>\\t<code>=<value>;...'")
         try:
-            # state_from_key takes only canonical keys, no agent moves in a finished state, and
-            # rows never grow: a row under any other key would never be looked up
-            state = state_from_key(key)
-            if status_of(state) is not ONGOING:
-                raise ValueError(f"finished state {key!r} is never looked up")
-            if key in index:
+            n = live.number(key)  # a row under any other key would never be looked up
+            if index[n] >= 0:
                 raise ValueError(f"repeated state key {key!r}")
-            n_codes, seen, base = 2 * len(state.cells), 0, len(values)
-            if n_codes > _ROW:
-                raise ValueError(f"state {key!r} has more cells than the opening")
-            values.frombytes(_ZERO_ROW)
+            if "_" in cells or " " in cells or not cells.isprintable():  # int() and float() read "1_0" and " 1"
+                raise ValueError(f"underscore or whitespace in {cells!r}, which save_qtable never writes")
+            row, n_codes, seen = q._row(n), len(live.kids[live.at[n] % live.width]), 0
             for item in cells.split(";"):
                 code_s, sep2, value_s = item.partition("=")
                 if not sep2:
@@ -391,12 +398,11 @@ def load_qtable(path: str) -> QTable:
                     raise ValueError(f"non-finite value for code {code}")
                 if seen & (bit := 1 << code):
                     raise ValueError(f"repeated code {code} for key {key!r}")
-                values[base + code] = value
+                values[row * _ROW + code] = value
                 seen |= bit
         except ValueError as exc:
             raise FormatError(f"{path}: line {i}: {exc}") from exc
-        index[key] = len(masks)
-        masks.append(seen)
+        q._seen[row] = seen
     return q
 
 

@@ -9,8 +9,10 @@ dynamics genuinely differ from those references the checks below say so
 explicitly rather than glossing over it.
 """
 
+import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +36,7 @@ from flux.engine import (
     status_of,
 )
 from flux.llm import LlmAgent, ScriptedBackend
-from flux.qlearn import TrainConfig, save_qtable, train
+from flux.qlearn import TrainConfig, save_qtable, train, write_curve
 from flux.solver import (
     optimal_policy,
     random_win_prob,
@@ -46,6 +48,7 @@ from flux.solver import (
 EXACT_RANDOM_PLAY = 0.29231361218346746
 REACHABLE_SHRINKER = 4426
 REACHABLE_AMPLIFIER = 3984
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
 
 _ARTIFACTS: dict = {}
 
@@ -440,6 +443,20 @@ def test_criterion_9_failure_classifier_is_exact(capsys, work, make_scripted_rec
     )
     assert got == expected
     assert reread == expected
+
+
+def test_standard_run_bytes_are_pinned(work, trained):
+    # not a criterion: the standard run's files, digests taken before training
+    # moved onto the game graph; the Amplifier's table is perfbench's fixture
+    curve_path = work / "training_curve.csv"
+    write_curve(trained["curve"], str(curve_path))
+    assert Path(trained["pa"]).read_bytes() == FIXTURE.read_bytes()
+    assert _sha256(trained["ps"]) == "eeb6bc4ca8bc4665b237955363c8c16ca20397237247514e92368f60e22cf946"
+    assert _sha256(curve_path) == "e1e9992cf46d71a6392986c4cd896a6423bf9fb37f1251ad2f3e93b57831da4f"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_gate_summary(capsys, solved):

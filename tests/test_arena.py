@@ -173,13 +173,13 @@ def test_read_records_stay_compact(tmp_path, small_tables):
 
 def test_unreadable_transcript_reports_the_line(tmp_path):
     path = tmp_path / "games.jsonl"
-    path.write_text('{"type": "game", "game": 0, "seed": 0, "p0": "a", "p1": "b", "p0_role": 0}\nnot json\n')
+    path.write_text('{"type": "game", "game": 0, "seed": 0, "p0": "a", "p1": "b", "p0_role": "shrinker"}\nnot json\n')
     with pytest.raises(FormatError) as err:
         read_transcripts(str(path))
     assert "line 2" in str(err.value)
 
 
-GAME_LINE = '{"type": "game", "game": 0, "seed": 0, "p0": "a", "p1": "b", "p0_role": 0}\n'
+GAME_LINE = '{"type": "game", "game": 0, "seed": 0, "p0": "a", "p1": "b", "p0_role": "shrinker"}\n'
 
 
 def test_transcript_without_an_end_record_is_rejected(tmp_path):
@@ -222,6 +222,8 @@ def test_record_before_any_game_is_rejected(tmp_path, kind):
         ("game", "seed", "not-a-seed", "seed must be int"),
         ("game", "p0", 7, "p0 must be str"),
         ("game", "p1", None, "p1 must be str"),
+        ("game", "p0_role", "amplifier", "p0_role must be 'shrinker', got 'amplifier'"),
+        ("game", "p0_role", 0, "p0_role must be 'shrinker', got 0"),
         ("ply", "ply", 0, "ply must be at least 1, got 0"),
     ],
 )

@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from flux.engine import Role, state_from_key
+import flux.engine
+import flux.qlearn
+import flux.solver
+from flux.agents import GreedyQAgent
+from flux.engine import GameState, Role, initial_state, state_from_key
 from flux.errors import ConfigError, FormatError
 from flux.qlearn import (
     CURVE_HEADER,
@@ -23,6 +27,7 @@ from flux.qlearn import (
     TrainConfig,
     epsilon_at,
     final_epsilon,
+    live_states,
     load_qtable,
     mode_for_episode,
     q_update,
@@ -30,8 +35,15 @@ from flux.qlearn import (
     train,
     write_curve,
 )
-from flux.solver import default_solved, reachable_states
-from flux.engine import initial_state, role_to_move, state_key
+from flux.solver import reachable_states, solve
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
+# live states of the standard game: the opening, one of its children, and a row of two cells
+OPENING, CHILD, PAIR = "2,1,3,1,2|0", "4,1,3,1,2|1", "2,2|4"
+
+
+def number(key):
+    return live_states().number(key)
 
 
 class TestConfig:
@@ -117,43 +129,43 @@ class TestModeSchedule:
 class TestUpdate:
     def test_terminal_backup(self):
         q = QTable(role=Role.SHRINKER)
-        q_update(q, "s|0", 0, 1.0, None, 0, TrainConfig())
+        q_update(q, number(OPENING), 0, 1.0, None, 0, TrainConfig())
         # 0 + 0.2 * (1 - 0) = 0.2
-        assert q.entries["s|0"][0] == 0.2
+        assert q.entries[OPENING][0] == 0.2
 
     def test_bootstrapped_backup(self):
         q = QTable(role=Role.SHRINKER)
-        q.entries["n|1"] = {2: 1.0, 3: -0.5}
-        q_update(q, "s|0", 4, 0.0, "n|1", 4, TrainConfig())
+        q.entries[CHILD] = {2: 1.0, 3: -0.5}
+        q_update(q, number(OPENING), 4, 0.0, number(CHILD), 4, TrainConfig())
         # target = 0 + 0.92 * max(1.0, -0.5) = 0.92; update = 0.2 * 0.92
-        assert q.entries["s|0"][4] == pytest.approx(0.184, abs=1e-12)
+        assert q.entries[OPENING][4] == pytest.approx(0.184, abs=1e-12)
 
     def test_unseen_next_state_bootstraps_to_zero(self):
         q = QTable(role=Role.SHRINKER)
-        q.entries["s|0"] = {1: 0.3}
-        q_update(q, "s|0", 1, 0.0, "n|1", 2, TrainConfig())
+        q.entries[OPENING] = {1: 0.3}
+        q_update(q, number(OPENING), 1, 0.0, number(CHILD), 2, TrainConfig())
         # target = 0 + 0.92 * 0 = 0; update = 0.3 + 0.2 * (0 - 0.3)
-        assert q.entries["s|0"][1] == pytest.approx(0.24, abs=1e-12)
+        assert q.entries[OPENING][1] == pytest.approx(0.24, abs=1e-12)
 
     def test_full_step_size_overwrites(self):
         q = QTable(role=Role.SHRINKER)
-        q.entries["s|0"] = {0: -3.0}
-        q_update(q, "s|0", 0, 1.0, None, 0, TrainConfig(alpha=1.0))
-        assert q.entries["s|0"][0] == 1.0
+        q.entries[OPENING] = {0: -3.0}
+        q_update(q, number(OPENING), 0, 1.0, None, 0, TrainConfig(alpha=1.0))
+        assert q.entries[OPENING][0] == 1.0
 
 
 class TestQTable:
     def test_reads_default_to_zero_without_insertion(self):
         q = QTable(role=Role.AMPLIFIER)
-        assert q.best_code("nope|0", 3) == 0
+        assert q.best_code(number(PAIR), 3) == 0
         assert q.entries == {}
 
     def test_best_code_breaks_ties_low(self):
         q = QTable(role=Role.SHRINKER)
-        q.entries["k|0"] = {2: 0.7, 5: 0.7, 1: 0.1}
-        assert q.best_code("k|0", 10) == 2
+        q.entries[OPENING] = {2: 0.7, 5: 0.7, 1: 0.1}
+        assert q.best_code(number(OPENING), 10) == 2
         # an unseen state: all codes tie at zero
-        assert q.best_code("other|0", 4) == 0
+        assert q.best_code(number(PAIR), 4) == 0
 
     def test_best_code_matches_an_argmax_over_every_code(self):
         # seeded rows with gaps, ties, negative values and -0.0, stored in
@@ -164,20 +176,20 @@ class TestQTable:
             n_codes = rng.choice((2, 4, 6, 8, 10))
             codes = rng.sample(range(n_codes), rng.randint(1, n_codes))
             values = [rng.choice((0.5, 0.25, 0.0, -0.0, -0.25, -0.5)) for _ in codes]
-            q.entries[f"{trial}|0"] = row = dict(zip(codes, values))
+            q.entries[live_states().key(trial)] = row = dict(zip(codes, values))
             expected = max(range(n_codes), key=lambda c: (row.get(c, 0.0), -c))
-            assert q.best_code(f"{trial}|0", n_codes) == expected, row
+            assert q.best_code(trial, n_codes) == expected, row
 
 
 class TestRowView:
-    ROWS = {"2,1,3,1,2|0": {0: -0.5, 9: 0.25}, "1,1|4": {1: 1.0, 0: -0.0}}
+    ROWS = {OPENING: {0: -0.5, 9: 0.25}, PAIR: {1: 1.0, 0: -0.0}}
 
     def test_a_row_read_is_a_copy(self):
         q = QTable(role=Role.SHRINKER, entries=self.ROWS)
-        row = q.entries["1,1|4"]
+        row = q.entries[PAIR]
         row[1], row[3] = -7.0, 7.0
-        assert q.entries["1,1|4"] == {1: 1.0, 0: -0.0}
-        assert q.best_code("1,1|4", 4) == 1
+        assert q.entries[PAIR] == {1: 1.0, 0: -0.0}
+        assert q.best_code(number(PAIR), 4) == 1
 
     def test_an_empty_table_equals_an_empty_dict(self):
         q = QTable(role=Role.AMPLIFIER)
@@ -192,16 +204,25 @@ class TestRowView:
         back = load_qtable(str(path))
         assert back.entries == q.entries and back.entries == self.ROWS
         assert list(back.entries) == sorted(self.ROWS)
-        back.entries["1,1|4"] = {2: 0.5}
-        assert back.entries != q.entries and back.entries["1,1|4"] == {2: 0.5}
+        back.entries[PAIR] = {2: 0.5}
+        assert back.entries != q.entries and back.entries[PAIR] == {2: 0.5}
 
     @pytest.mark.parametrize("code", [-1, 10])
     def test_a_code_outside_the_fixed_row_is_rejected(self, code):
         # a row has ten slots, two codes for each of the opening's five cells
         q = QTable(role=Role.SHRINKER)
         with pytest.raises(ValueError):
-            q.entries["2,1|0"] = {0: 0.5, code: 1.0}
+            q.entries[PAIR] = {0: 0.5, code: 1.0}
         assert q.entries == {}
+
+    @pytest.mark.parametrize("key", ["1,1|3", "2,1|15", "02,1,3,1,2|0"])
+    def test_a_row_has_to_be_a_live_state_of_the_standard_game(self, key):
+        # a table indexes the standard game's live states, so no other key has a row
+        q = QTable(role=Role.SHRINKER)
+        with pytest.raises(ValueError) as err:
+            q.entries[key] = {0: 0.5}
+        assert repr(key) in str(err.value)
+        assert q.entries == {} and key not in q.entries and 5 not in q.entries
 
 
 class TestTraining:
@@ -248,6 +269,23 @@ class TestTraining:
                 for v in row.values():
                     assert -bound <= v <= bound
 
+    def test_an_episode_walks_the_graph(self, monkeypatch):
+        # a ply reads the next state's number off the graph: status_of runs once a
+        # game, for the winner, and a row is appended once, when its state is first updated
+        calls = {"status_of": 0, "_row": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(flux.qlearn, "status_of", counting("status_of", flux.engine.status_of))
+        monkeypatch.setattr(QTable, "_row", counting("_row", QTable._row))
+        q_s, q_a, curve = train(TrainConfig(episodes=300, seed=2))
+        assert calls == {"status_of": 300, "_row": len(q_s.entries) + len(q_a.entries)}
+        assert sum(p.plies for p in curve) > 2000
+
     def test_zero_episodes_yields_empty_tables(self):
         q_s, q_a, curve = train(TrainConfig(episodes=0))
         assert q_s.entries == {} and q_a.entries == {}
@@ -268,14 +306,14 @@ class TestSerialization:
     def test_file_layout(self, tmp_path):
         q = QTable(role=Role.SHRINKER, episodes=5, config_digest="abc123")
         q.entries["2,1,3,1,2|0"] = {0: -0.5, 3: 0.25}
-        q.entries["1,1|4"] = {1: 1.0}
+        q.entries["1,2|5"] = {1: 1.0}
         path = tmp_path / "q.txt"
         save_qtable(q, str(path))
         assert path.read_text() == (
             "#role=shrinker\n"
             "#episodes=5\n"
             "#config_digest=abc123\n"
-            "1,1|4\t1=1.0\n"
+            "1,2|5\t1=1.0\n"
             "2,1,3,1,2|0\t0=-0.5;3=0.25\n"
         )
 
@@ -289,7 +327,7 @@ class TestSerialization:
 
     def test_unparseable_value_reports_the_line(self, tmp_path):
         path = tmp_path / "q.txt"
-        path.write_text(self.HEADERS + "2,1|0\t0=banana\n")
+        path.write_text(self.HEADERS + "2,2|4\t0=banana\n")
         with pytest.raises(FormatError) as err:
             load_qtable(str(path))
         assert "line 4" in str(err.value)
@@ -297,7 +335,7 @@ class TestSerialization:
     def test_out_of_range_code_is_an_error(self, tmp_path):
         path = tmp_path / "q.txt"
         # two cells allow codes 0..3 only
-        path.write_text(self.HEADERS + "2,1|0\t4=0.5\n")
+        path.write_text(self.HEADERS + "2,2|4\t4=0.5\n")
         with pytest.raises(FormatError) as err:
             load_qtable(str(path))
         assert "code 4 out of range" in str(err.value)
@@ -305,7 +343,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_an_error(self, tmp_path, value):
         path = tmp_path / "q.txt"
-        path.write_text(self.HEADERS + "2,1|0\t0=0.5\n" + f"2,2|0\t1={value}\n")
+        path.write_text(self.HEADERS + "2,2|4\t0=0.5\n" + f"2,3|4\t1={value}\n")
         with pytest.raises(FormatError) as err:
             load_qtable(str(path))
         assert "line 5" in str(err.value) and "non-finite value for code 1" in str(err.value)
@@ -327,7 +365,7 @@ class TestSerialization:
     def test_finished_state_key_is_an_error(self, tmp_path, key):
         # nobody moves in a finished state, so no lookup could reach the row
         path = tmp_path / "q.txt"
-        path.write_text(self.HEADERS + "2,1|0\t0=0.5\n" + f"{key}\t0=0.5\n")
+        path.write_text(self.HEADERS + "2,2|4\t0=0.5\n" + f"{key}\t0=0.5\n")
         with pytest.raises(FormatError) as err:
             load_qtable(str(path))
         assert "line 5" in str(err.value) and "finished state" in str(err.value)
@@ -336,7 +374,7 @@ class TestSerialization:
         "body, message",
         [
             ("2,1,3,1,2|0\t0=0.5\n2,1,3,1,2|0\t1=0.5\n", "repeated state key '2,1,3,1,2|0'"),
-            ("2,1|0\t1=0.5\n2,1,3,1,2|0\t0=0.5;0=-0.5\n", "repeated code 0 for key '2,1,3,1,2|0'"),
+            ("2,2|4\t1=0.5\n2,1,3,1,2|0\t0=0.5;0=-0.5\n", "repeated code 0 for key '2,1,3,1,2|0'"),
         ],
         ids=["key", "code"],
     )
@@ -351,13 +389,34 @@ class TestSerialization:
     def test_row_with_more_cells_than_the_opening_is_an_error(self, tmp_path):
         # rows never grow, so no game reaches six cells and no lookup finds the row
         path = tmp_path / "q.txt"
-        path.write_text(self.HEADERS + "2,1|0\t0=0.5\n" + "1,1,1,1,1,1|0\t0=0.5\n")
+        path.write_text(self.HEADERS + "2,2|4\t0=0.5\n" + "1,1,1,1,1,1|0\t0=0.5\n")
         with pytest.raises(FormatError) as err:
             load_qtable(str(path))
-        assert "line 5" in str(err.value) and "more cells than the opening" in str(err.value)
+        assert "line 5" in str(err.value) and "unreachable state '1,1,1,1,1,1|0'" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["1,1|3", "2,1,3,1,2|1", "2,1|0"])
+    def test_a_key_no_game_reaches_is_an_error(self, tmp_path, key):
+        # canonical and live by the rules, but off the standard game's graph: no
+        # table row is kept for a state that play never reaches
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + "2,2|4\t0=0.5\n" + f"{key}\t0=0.5\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 5" in str(err.value) and f"unreachable state {key!r} is never looked up" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "cells", ["0=1_0", "0= 1.0", "0=1.0 ", "0=1.0\x0c", " 0=0.5", "1_0=0.5", "0=0.5;\t1=0.5", "0=0.5;1=0.2_5"]
+    )
+    def test_underscores_and_whitespace_are_errors(self, tmp_path, cells):
+        # int() and float() read each of these, and a value of 1_0 was saved back as 10.0
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + f"2,2|4\t{cells}\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert "line 4" in str(err.value) and "underscore or whitespace" in str(err.value)
 
     def test_loading_the_fixture_keeps_a_flat_table(self):
-        fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
+        fixture = FIXTURE
         load_qtable(str(fixture))  # fill the engine's caches first
         tracemalloc.start()
         try:
@@ -426,3 +485,24 @@ class TestCurve:
             tracemalloc.stop()
         # a list of CurvePoint objects keeps about 235 B per point
         assert kept / len(curve) <= 48
+
+
+def test_another_solve_leaves_tables_and_agents_the_standard_graph(monkeypatch):
+    # the numbering keeps its own reference to the standard graph, so after a solve
+    # of another root evicts game_graph's one cached graph, loading a table,
+    # training and greedy play step no row again
+    load_qtable(str(FIXTURE))  # the numbering is built by now
+    solve(GameState((4, 1, 3, 1, 2), 1))
+    calls = [0]
+
+    def counting_step(cells, index, op):
+        calls[0] += 1
+        return flux.engine._step(cells, index, op)
+
+    monkeypatch.setattr(flux.solver, "_step", counting_step)
+    q = load_qtable(str(FIXTURE))
+    train(TrainConfig(episodes=30))
+    GreedyQAgent(q).choose(initial_state(), Role.SHRINKER, random.Random(0))
+    assert calls == [0]
+    reachable_states()  # the standard graph really was evicted: it is built again here
+    assert calls == [15048]
