@@ -96,17 +96,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _print_matchup(label: str, stats) -> None:
     from .arena import compute_ci
-    lo0, hi0 = compute_ci(stats.wins_p0, stats.games)
-    lo1, hi1 = compute_ci(stats.wins_p1, stats.games)
     print(f"{label}: {stats.games} games")
-    print(
-        f"  shrinker wins {stats.wins_p0} ({100 * stats.win_rate_p0:.1f}%, "
-        f"95% CI [{100 * lo0:.1f}, {100 * hi0:.1f}])"
-    )
-    print(
-        f"  amplifier wins {stats.wins_p1} ({100 * stats.win_rate_p1:.1f}%, "
-        f"95% CI [{100 * lo1:.1f}, {100 * hi1:.1f}])"
-    )
+    for role in Role:
+        lo, hi = compute_ci(stats.wins_for(role), stats.games)
+        print(
+            f"  {role.value} wins {stats.wins_for(role)} ({100 * stats.win_rate_for(role):.1f}%, "
+            f"95% CI [{100 * lo:.1f}, {100 * hi:.1f}])"
+        )
     print(f"  avg moves {stats.avg_moves:.2f}")
     if stats.llm_plies:
         print(

@@ -12,7 +12,7 @@ Tables index the standard game's 8,410 live states by number (``LiveStates``).  
 flat stores: an array from state number to row (-1 for none), each row's state number, ten ``float``
 slots a row (two codes per opening cell; rows never grow) and a bitmask of the updated codes.  An
 episode walks ``game_graph`` by move count and row id, building no state and no key: state keys
-exist only in table files and in ``entries``, which reads each row as a fresh dict, a read-only copy.
+exist only in table files and in the read-only ``entries`` view.  Only ``q_update`` and ``load_qtable`` add rows.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ live_states = cache(LiveStates)  # built once per process, by the first table
 
 
 class _Rows(Mapping):
-    """``QTable.entries``: a row reads as a fresh ``{code: value}`` dict; ``entries[key] = row`` writes one."""
+    """``QTable.entries``, read-only: a row reads as a fresh ``{code: value}`` dict."""
 
     def __init__(self, table: QTable) -> None:
         self._table = table
@@ -144,14 +144,6 @@ class _Rows(Mapping):
         if row < 0:
             raise KeyError(key)
         return {code: t._q[row * _ROW + code] for code in range(_ROW) if t._seen[row] >> code & 1}
-
-    def __setitem__(self, key: str, values: Mapping[int, float]) -> None:
-        if not all(0 <= code < _ROW for code in values):
-            raise ValueError(f"codes must lie in 0..{_ROW - 1}, not {list(values)}")
-        t = self._table
-        row = t._row(live_states().number(key))
-        t._q[row * _ROW : (row + 1) * _ROW] = array("d", (values.get(c, 0.0) for c in range(_ROW)))
-        t._seen[row] = sum(1 << code for code in values)
 
     def __len__(self) -> int:
         return len(self._table._seen)
@@ -173,12 +165,10 @@ class _Rows(Mapping):
 class QTable:
     """One role's action values, by state number, in the flat stores the module docstring describes."""
 
-    def __init__(self, role: Role, entries: Mapping | None = None, episodes: int = 0, config_digest: str = ""):
+    def __init__(self, role: Role, *, episodes: int = 0, config_digest: str = ""):
         self.role, self.episodes, self.config_digest = role, episodes, config_digest
         self._index = array("h", [-1]) * len(live_states().at)
         self._numbers, self._q, self._seen = array("h"), array("d"), array("H")
-        for key, row in (entries or {}).items():
-            self.entries[key] = row
 
     entries = property(_Rows)  # a view per read: one kept on the table would make a reference cycle
 
@@ -333,14 +323,14 @@ def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
 
 def final_epsilon(cfg: TrainConfig) -> float:
     """Epsilon in force during the last episode (eps_start when nothing ran)."""
-    if cfg.episodes == 0:
-        return cfg.eps_start
-    return epsilon_at(cfg.episodes - 1, cfg)
+    return epsilon_at(max(cfg.episodes - 1, 0), cfg)
 
 
 # ---------------------------------------------------------------------------
 # Table files: '#'-prefixed headers, then one tab-separated line per state.
 # ---------------------------------------------------------------------------
+
+_HEADERS = ("role", "episodes", "config_digest")  # a table file has each once, as save_qtable writes them
 
 
 def save_qtable(q: QTable, path: str) -> None:
@@ -362,16 +352,18 @@ def load_qtable(path: str) -> QTable:
         if q is None:
             if line.startswith("#"):
                 name, sep, value = line[1:].partition("=")
-                if not sep:
-                    raise FormatError(f"{path}: line {i}: malformed header {line!r}")
+                if not sep or name not in _HEADERS or name in headers:
+                    problem = "malformed" if not sep else "repeated" if name in headers else "unknown"
+                    raise FormatError(f"{path}: line {i}: {problem} header {line!r}")
+                if name == "episodes" and not (value.isdigit() and str(int(value)) == value):
+                    raise FormatError(f"{path}: line {i}: #episodes={value} is not a count save_qtable writes")
                 headers[name] = value
                 continue
-            for required in ("role", "episodes", "config_digest"):
+            for required in _HEADERS:
                 if required not in headers:
                     raise FormatError(f"{path}: line 1: missing #{required}= header")
             try:
-                role, episodes = Role(headers["role"]), int(headers["episodes"])
-                q = QTable(role, episodes=episodes, config_digest=headers["config_digest"])
+                q = QTable(Role(headers["role"]), episodes=int(headers["episodes"]), config_digest=headers["config_digest"])
             except ValueError as exc:
                 raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
             index, values, live = q._index, q._q, live_states()

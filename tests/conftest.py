@@ -1,4 +1,6 @@
+import os
 import random
+import tempfile
 
 import pytest
 
@@ -12,7 +14,7 @@ from flux.engine import (
     status_of,
 )
 from flux.llm import ScriptedBackend, llm_agent_step
-from flux.qlearn import TrainConfig, train
+from flux.qlearn import TrainConfig, load_qtable, train
 from flux.solver import default_solved
 
 
@@ -68,3 +70,15 @@ def random_playout(seed):
         state, status = apply(state, acts[rng.randrange(len(acts))])
         visited.append(state)
     return visited
+
+
+def load_rows(role, rows, episodes=0, config_digest=""):
+    """A ``QTable`` holding ``rows`` ({state key: {code: value}}), written as table text and read back by
+    ``load_qtable``, the one way rows enter a table from outside, so every row meets the reader's checks."""
+    lines = [f"#role={role.value}", f"#episodes={episodes}", f"#config_digest={config_digest}"]
+    lines += [f"{key}\t" + ";".join(f"{code}={value!r}" for code, value in row.items()) for key, row in rows.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return load_qtable(path)

@@ -28,7 +28,7 @@ from flux.qlearn import QTable, load_qtable
 from flux.engine import Role
 from flux.solver import reachable_states
 
-from conftest import random_playout
+from conftest import load_rows, random_playout
 
 
 # chi-square critical values at p = 0.01
@@ -125,25 +125,20 @@ class TestGreedyQ:
     # key order; frozen before the agent's argmax moved onto QTable.best_code
     FIXTURE_MOVES_SHA256 = "a9b99c37c21f8fe200414e3e63195ba99f4834d58ad702c8bb59db028e379aa7"
 
-    def make_table(self, key, row):
-        q = QTable(role=Role.SHRINKER)
-        q.entries[key] = row
-        return q
-
     def choose(self, q, state, seed=0):
         agent = GreedyQAgent(q)
         return agent.choose(state, role_to_move(state), random.Random(seed)), agent
 
     def test_argmax_with_ties_takes_the_lowest_code(self):
         state = initial_state()
-        q = self.make_table(state_key(state), {0: 0.5, 3: 0.5, 7: 0.2})
+        q = load_rows(Role.SHRINKER, {state_key(state): {0: 0.5, 3: 0.5, 7: 0.2}})
         action, agent = self.choose(q, state)
         assert encode_action(action) == 0
         assert agent.last_annotation is None
 
     def test_missing_codes_read_as_zero(self):
         state = initial_state()
-        q = self.make_table(state_key(state), {5: -0.3})
+        q = load_rows(Role.SHRINKER, {state_key(state): {5: -0.3}})
         action, _ = self.choose(q, state)
         # every unseen action counts 0.0, which beats the only stored entry
         assert encode_action(action) == 0

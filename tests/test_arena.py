@@ -27,7 +27,9 @@ from flux.arena import (
     write_transcripts,
 )
 from flux.llm import LlmAgent, ScriptedBackend
-from flux.qlearn import QTable, save_qtable
+from flux.qlearn import save_qtable
+
+from conftest import load_rows
 
 
 def test_play_game_is_deterministic_per_seed():
@@ -369,7 +371,7 @@ class TestStats:
                     raise TransportError("connection reset")
                 return self.inner.complete(conversation)
 
-        q_amplifier = QTable(Role.AMPLIFIER, entries={"4,1,3,1,2|1": {0: 1.0}})
+        q_amplifier = load_rows(Role.AMPLIFIER, {"4,1,3,1,2|1": {0: 1.0}})
         spec = MatchupSpec(
             p0=lambda seed: LlmAgent(FlakyBackend()),
             p1=lambda seed: GreedyQAgent(q_amplifier),

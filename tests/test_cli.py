@@ -106,6 +106,17 @@ class TestTournament:
         )
         assert outcomes in capsys.readouterr().out.splitlines()
 
+    def test_a_seeded_tournament_prints_these_lines(self, capsys):
+        # one line per seat, Shrinker first, each with its wins, rate and Wilson interval
+        assert run("tournament", "--p0", "heuristic", "--p1", "random", "--games", 20, "--seed", 3) == 0
+        assert capsys.readouterr().out == (
+            "heuristic vs random: 20 games\n"
+            "  shrinker wins 19 (95.0%, 95% CI [76.4, 99.1])\n"
+            "  amplifier wins 1 (5.0%, 95% CI [0.9, 23.6])\n"
+            "  avg moves 8.90\n"
+            "  outcomes: {'single_cell': 19, 'sum_exceeded_20': 1}\n"
+        )
+
     def test_transcripts_flag_requires_an_output_dir(self, capsys):
         assert run("tournament", "--p0", "random", "--p1", "random", "--transcripts") == 2
         assert capsys.readouterr().err != ""

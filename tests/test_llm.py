@@ -26,7 +26,9 @@ from flux.llm import (
     parse_reply,
     render_observation,
 )
-from flux.qlearn import QTable, save_qtable
+from flux.qlearn import save_qtable
+
+from conftest import load_rows
 
 
 class TestRendering:
@@ -265,7 +267,7 @@ def _fresh_python(code: str, *args: str, parse=json.loads) -> list:
 
 
 def test_offline_play_never_loads_the_http_stack(tmp_path):
-    table = QTable(Role.SHRINKER, entries={"2,1,3,1,2|0": {3: 0.5}})
+    table = load_rows(Role.SHRINKER, {"2,1,3,1,2|0": {3: 0.5}})
     save_qtable(table, str(tmp_path / "q.txt"))
     code = f"""
 import json, sys
@@ -295,7 +297,7 @@ SETUP_UNUSED = ("json", "hashlib", "fractions", "decimal", "datetime")
 
 
 def test_setup_loads_no_module_it_does_not_use(tmp_path):
-    table = QTable(Role.SHRINKER, entries={"2,1,3,1,2|0": {3: 0.5}})
+    table = load_rows(Role.SHRINKER, {"2,1,3,1,2|0": {3: 0.5}})
     save_qtable(table, str(tmp_path / "q.txt"))
     code = f"""
 import sys

@@ -8,7 +8,9 @@ here, so the implementation is checked against independent arithmetic.
 import hashlib
 import math
 import random
+import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,8 @@ from flux.qlearn import (
     write_curve,
 )
 from flux.solver import reachable_states, solve
+
+from conftest import load_rows
 
 FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
 # live states of the standard game: the opening, one of its children, and a row of two cells
@@ -109,6 +113,9 @@ class TestEpsilon:
     def test_final_epsilon(self):
         assert final_epsilon(TrainConfig()) == 0.05
         assert final_epsilon(TrainConfig(episodes=10)) > 0.99
+        # no episode ran, so the schedule never left its start
+        assert final_epsilon(TrainConfig(episodes=0)) == 1.0
+        assert final_epsilon(TrainConfig(episodes=0, eps_start=0.5)) == 0.5
 
 
 class TestModeSchedule:
@@ -134,22 +141,19 @@ class TestUpdate:
         assert q.entries[OPENING][0] == 0.2
 
     def test_bootstrapped_backup(self):
-        q = QTable(role=Role.SHRINKER)
-        q.entries[CHILD] = {2: 1.0, 3: -0.5}
+        q = load_rows(Role.SHRINKER, {CHILD: {2: 1.0, 3: -0.5}})
         q_update(q, number(OPENING), 4, 0.0, number(CHILD), 4, TrainConfig())
         # target = 0 + 0.92 * max(1.0, -0.5) = 0.92; update = 0.2 * 0.92
         assert q.entries[OPENING][4] == pytest.approx(0.184, abs=1e-12)
 
     def test_unseen_next_state_bootstraps_to_zero(self):
-        q = QTable(role=Role.SHRINKER)
-        q.entries[OPENING] = {1: 0.3}
+        q = load_rows(Role.SHRINKER, {OPENING: {1: 0.3}})
         q_update(q, number(OPENING), 1, 0.0, number(CHILD), 2, TrainConfig())
         # target = 0 + 0.92 * 0 = 0; update = 0.3 + 0.2 * (0 - 0.3)
         assert q.entries[OPENING][1] == pytest.approx(0.24, abs=1e-12)
 
     def test_full_step_size_overwrites(self):
-        q = QTable(role=Role.SHRINKER)
-        q.entries[OPENING] = {0: -3.0}
+        q = load_rows(Role.SHRINKER, {OPENING: {0: -3.0}})
         q_update(q, number(OPENING), 0, 1.0, None, 0, TrainConfig(alpha=1.0))
         assert q.entries[OPENING][0] == 1.0
 
@@ -161,31 +165,33 @@ class TestQTable:
         assert q.entries == {}
 
     def test_best_code_breaks_ties_low(self):
-        q = QTable(role=Role.SHRINKER)
-        q.entries[OPENING] = {2: 0.7, 5: 0.7, 1: 0.1}
+        q = load_rows(Role.SHRINKER, {OPENING: {2: 0.7, 5: 0.7, 1: 0.1}})
         assert q.best_code(number(OPENING), 10) == 2
         # an unseen state: all codes tie at zero
         assert q.best_code(number(PAIR), 4) == 0
 
     def test_best_code_matches_an_argmax_over_every_code(self):
-        # seeded rows with gaps, ties, negative values and -0.0, stored in
-        # random order; an absent code is worth 0.0, and 0.0 ties -0.0
+        # seeded rows over live states 0-1999, each with codes drawn from its own 4 to 10
+        # legal ones: gaps, ties, negative values and -0.0, stored in random order;
+        # an absent code is worth 0.0, and 0.0 ties -0.0
         rng = random.Random(5)
-        q = QTable(role=Role.SHRINKER)
-        for trial in range(2000):
-            n_codes = rng.choice((2, 4, 6, 8, 10))
+        live = live_states()
+        rows = {}
+        for n in range(2000):
+            n_codes = len(live.kids[live.at[n] % live.width])
             codes = rng.sample(range(n_codes), rng.randint(1, n_codes))
-            values = [rng.choice((0.5, 0.25, 0.0, -0.0, -0.25, -0.5)) for _ in codes]
-            q.entries[live_states().key(trial)] = row = dict(zip(codes, values))
+            rows[n] = n_codes, {code: rng.choice((0.5, 0.25, 0.0, -0.0, -0.25, -0.5)) for code in codes}
+        q = load_rows(Role.SHRINKER, {live.key(n): row for n, (_, row) in rows.items()})
+        for n, (n_codes, row) in rows.items():
             expected = max(range(n_codes), key=lambda c: (row.get(c, 0.0), -c))
-            assert q.best_code(trial, n_codes) == expected, row
+            assert q.best_code(n, n_codes) == expected, row
 
 
 class TestRowView:
     ROWS = {OPENING: {0: -0.5, 9: 0.25}, PAIR: {1: 1.0, 0: -0.0}}
 
     def test_a_row_read_is_a_copy(self):
-        q = QTable(role=Role.SHRINKER, entries=self.ROWS)
+        q = load_rows(Role.SHRINKER, self.ROWS)
         row = q.entries[PAIR]
         row[1], row[3] = -7.0, 7.0
         assert q.entries[PAIR] == {1: 1.0, 0: -0.0}
@@ -194,35 +200,31 @@ class TestRowView:
     def test_an_empty_table_equals_an_empty_dict(self):
         q = QTable(role=Role.AMPLIFIER)
         assert q.entries == {} and {} == q.entries
-        assert len(q.entries) == 0 and list(q.entries) == [] and "2,1|1" not in q.entries
+        assert len(q.entries) == 0 and list(q.entries) == [] and "2,1|1" not in q.entries and 5 not in q.entries
 
-    def test_constructor_rows_survive_save_and_load(self, tmp_path):
-        q = QTable(Role.SHRINKER, entries=self.ROWS, episodes=5, config_digest="abc123")
+    def test_loaded_rows_survive_save_and_load(self, tmp_path):
+        q = load_rows(Role.SHRINKER, self.ROWS, episodes=5, config_digest="abc123")
         assert q.entries == self.ROWS
         path = tmp_path / "q.txt"
         save_qtable(q, str(path))
         back = load_qtable(str(path))
         assert back.entries == q.entries and back.entries == self.ROWS
         assert list(back.entries) == sorted(self.ROWS)
-        back.entries[PAIR] = {2: 0.5}
-        assert back.entries != q.entries and back.entries[PAIR] == {2: 0.5}
+        q_update(back, number(PAIR), 2, 1.0, None, 0, TrainConfig(alpha=0.5))
+        assert back.entries != q.entries and back.entries[PAIR] == {0: -0.0, 1: 1.0, 2: 0.5}
 
-    @pytest.mark.parametrize("code", [-1, 10])
-    def test_a_code_outside_the_fixed_row_is_rejected(self, code):
-        # a row has ten slots, two codes for each of the opening's five cells
-        q = QTable(role=Role.SHRINKER)
-        with pytest.raises(ValueError):
-            q.entries[PAIR] = {0: 0.5, code: 1.0}
-        assert q.entries == {}
-
-    @pytest.mark.parametrize("key", ["1,1|3", "2,1|15", "02,1,3,1,2|0"])
-    def test_a_row_has_to_be_a_live_state_of_the_standard_game(self, key):
-        # a table indexes the standard game's live states, so no other key has a row
-        q = QTable(role=Role.SHRINKER)
-        with pytest.raises(ValueError) as err:
-            q.entries[key] = {0: 0.5}
-        assert repr(key) in str(err.value)
-        assert q.entries == {} and key not in q.entries and 5 not in q.entries
+    def test_the_view_is_read_only(self):
+        # rows enter a table only by q_update and load_qtable; a write through the view
+        # would skip the reader's checks, such as code 9 on a state of two cells
+        q = load_rows(Role.SHRINKER, self.ROWS)
+        for key in (PAIR, "1,2|5"):
+            with pytest.raises(TypeError):
+                q.entries[key] = {9: 1.0}
+        with pytest.raises(TypeError):
+            del q.entries[PAIR]
+        with pytest.raises(TypeError):
+            QTable(Role.SHRINKER, entries=self.ROWS)
+        assert q.entries == self.ROWS and "1,2|5" not in q.entries
 
 
 class TestTraining:
@@ -304,9 +306,8 @@ class TestSerialization:
         assert back.entries == q_s.entries  # float-exact via repr round-trip
 
     def test_file_layout(self, tmp_path):
-        q = QTable(role=Role.SHRINKER, episodes=5, config_digest="abc123")
-        q.entries["2,1,3,1,2|0"] = {0: -0.5, 3: 0.25}
-        q.entries["1,2|5"] = {1: 1.0}
+        rows = {"2,1,3,1,2|0": {0: -0.5, 3: 0.25}, "1,2|5": {1: 1.0}}
+        q = load_rows(Role.SHRINKER, rows, episodes=5, config_digest="abc123")
         path = tmp_path / "q.txt"
         save_qtable(q, str(path))
         assert path.read_text() == (
@@ -325,6 +326,64 @@ class TestSerialization:
 
     HEADERS = "#role=shrinker\n#episodes=10\n#config_digest=0123456789abcdef\n"
 
+    @pytest.mark.parametrize(
+        "headers, message",
+        [
+            ("#role=shrinker\n#episodes=-1\n", "line 2: #episodes=-1 is not a count"),
+            ("#role=shrinker\n#episodes=+1\n", "line 2: #episodes=+1 is not a count"),
+            ("#role=shrinker\n#episodes=01\n", "line 2: #episodes=01 is not a count"),
+            ("#role=shrinker\n#episodes=1_0\n", "line 2: #episodes=1_0 is not a count"),
+            ("#role=shrinker\n#episodes=\n", "line 2: #episodes= is not a count"),
+            ("#role=shrinker\n#role=amplifier\n", "line 2: repeated header '#role=amplifier'"),
+            ("#role=shrinker\n#seed=3\n", "line 2: unknown header '#seed=3'"),
+            ("#role=shrinker\n#episodes\n", "line 2: malformed header '#episodes'"),
+        ],
+        ids=["negative", "plus", "leading-zero", "underscore", "empty", "repeated", "unknown", "malformed"],
+    )
+    def test_a_header_save_qtable_would_not_write_is_an_error(self, tmp_path, headers, message):
+        # int() reads -1, +1, 01 and 1_0, and a second #role= used to override the first
+        path = tmp_path / "q.txt"
+        path.write_text(headers + "#config_digest=abc123\n2,2|4\t0=0.5\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert message in str(err.value)
+
+    # the sweep's replacements: numbers spelled as save_qtable does and does not write them,
+    # separators, the other fields' text and a byte that is not ASCII
+    SWEEP = ["", "0", "1", "3", "9", "10", "-1", "+1", "01", "1_0", " 1", "1 ", "0.5", "-0.0", "1e-05", "1e309",
+             "nan", "-inf", "x", "=", ";", "\t", "#", "shrinker", "2,2|4", "\u00e9"]
+
+    def test_every_one_field_edit_is_rejected_or_round_trips(self, tmp_path):
+        # the table file is the only way rows enter a table from outside: each edit of one
+        # header name or value, key, code or value, and each deleted line, must raise
+        # FormatError or load a table that saves and loads back unchanged
+        q_s, _, _ = train(TrainConfig(episodes=3, seed=0))
+        path, again = tmp_path / "q.txt", tmp_path / "again.txt"
+        save_qtable(q_s, str(path))
+        lines = path.read_text().splitlines()
+        edits = []
+        for i, line in enumerate(lines):
+            edits.append(lines[:i] + lines[i + 1 :])
+            parts = re.split(r"(\t|;|=)", line)  # fields at even positions, separators between
+            for f in range(0, len(parts), 2):
+                for value in self.SWEEP:
+                    edited = "".join(parts[:f] + [value] + parts[f + 1 :])
+                    edits.append(lines[:i] + [edited] + lines[i + 1 :])
+        outcomes = Counter()
+        for edit in edits:
+            path.write_text("".join(line + "\n" for line in edit), encoding="utf-8")
+            try:
+                back = load_qtable(str(path))
+            except FormatError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            save_qtable(back, str(again))
+            twice = load_qtable(str(again))
+            assert (twice.role, twice.episodes, twice.config_digest, twice.entries) == (
+                back.role, back.episodes, back.config_digest, back.entries), edit
+        assert len(edits) > 1000 and outcomes["loaded"] > 100 and outcomes["rejected"] > 500, outcomes
+
     def test_unparseable_value_reports_the_line(self, tmp_path):
         path = tmp_path / "q.txt"
         path.write_text(self.HEADERS + "2,2|4\t0=banana\n")
@@ -335,10 +394,11 @@ class TestSerialization:
     def test_out_of_range_code_is_an_error(self, tmp_path):
         path = tmp_path / "q.txt"
         # two cells allow codes 0..3 only
-        path.write_text(self.HEADERS + "2,2|4\t4=0.5\n")
-        with pytest.raises(FormatError) as err:
-            load_qtable(str(path))
-        assert "code 4 out of range" in str(err.value)
+        for code in (4, -1):
+            path.write_text(self.HEADERS + f"2,2|4\t{code}=0.5\n")
+            with pytest.raises(FormatError) as err:
+                load_qtable(str(path))
+            assert f"line 4: code {code} out of range" in str(err.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_an_error(self, tmp_path, value):
