@@ -344,7 +344,7 @@ def save_qtable(q: QTable, path: str) -> None:
 
 
 def load_qtable(path: str) -> QTable:
-    headers: dict[str, str] = {}
+    headers: dict[str, str | Role] = {}
     q = None  # made at the first line after the headers
     lines = chain(text_lines(path, "ascii", FormatError), [""])  # the last "" makes a table of a file without rows
     for i, line in enumerate(lines, 1):
@@ -357,15 +357,14 @@ def load_qtable(path: str) -> QTable:
                     raise FormatError(f"{path}: line {i}: {problem} header {line!r}")
                 if name == "episodes" and not (value.isdigit() and str(int(value)) == value):
                     raise FormatError(f"{path}: line {i}: #episodes={value} is not a count save_qtable writes")
-                headers[name] = value
+                try:
+                    headers[name] = Role(value) if name == "role" else value
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line {i}: bad header value ({exc})") from exc
                 continue
-            for required in _HEADERS:
-                if required not in headers:
-                    raise FormatError(f"{path}: line 1: missing #{required}= header")
-            try:
-                q = QTable(Role(headers["role"]), episodes=int(headers["episodes"]), config_digest=headers["config_digest"])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
+            if missing := [name for name in _HEADERS if name not in headers]:
+                raise FormatError(f"{path}: line {i}: missing #{missing[0]}= header")
+            q = QTable(headers["role"], episodes=int(headers["episodes"]), config_digest=headers["config_digest"])
             index, values, live = q._index, q._q, live_states()
         if not line:
             continue
@@ -384,6 +383,8 @@ def load_qtable(path: str) -> QTable:
                 if not sep2:
                     raise ValueError(f"bad entry {item!r}")
                 code, value = int(code_s), float(value_s)
+                if str(code) != code_s:  # int() also reads "+1", "01" and "-0"
+                    raise ValueError(f"code {code_s!r} is not a code save_qtable writes")
                 if not 0 <= code < n_codes:
                     raise ValueError(f"code {code} out of range for key {key!r}")
                 if not isfinite(value):

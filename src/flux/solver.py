@@ -6,14 +6,16 @@ each live row is stepped once, through the unchecked step ``apply`` shares,
 and ``status_of`` runs once per row and once per state at the limit.  Layers,
 one per move count (at most 15 from any root), list the rows they hold.
 ``game_graph`` builds the graph once per root and keeps the last one; every
-exact question reads it and none changes it.  A backward pass (retrograde
-analysis) gives each state one signed integer score, read as the winner under
-best play and ``depth``, the plies to the end when the winner hurries and the
-loser stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer,
-with the graph they index, and answers ``winner()`` from them.  The same pass,
-with the mean of the children in place of the mover's best, gives the
-Shrinker's win probability under uniform random play, as a float or exactly,
-also by layer and row id.  The string-keyed tables, ``value``, ``depth`` and
+exact question reads it and none changes it.  ``reachable_states`` keeps one
+array of positions (move count and row id) per kind of state and builds a
+``GameState`` only when one is read.  A backward pass (retrograde analysis)
+gives each state one signed integer score, read as the winner under best play
+and ``depth``, the plies to the end when the winner hurries and the loser
+stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer, with
+the graph they index, and answers ``winner()`` from them.  The same pass, with
+the mean of the children in place of the mover's best, gives the Shrinker's
+win probability under uniform random play, as a float or exactly, also by
+layer and row id.  The string-keyed tables, ``value``, ``depth`` and
 ``random_win_table``, are read-only views over those values that parse each
 key they are asked for; ``export_solved`` writes from the scores.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, islice
@@ -32,6 +34,7 @@ from typing import TYPE_CHECKING
 from .agents import AgentPolicy
 from .engine import (
     _AMPLIFIER,
+    _ROLES,
     _SHRINKER,
     MAX_PLIES,
     ONGOING,
@@ -56,6 +59,7 @@ if TYPE_CHECKING:
 
 _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
 _Graph = tuple[dict[tuple[int, ...], int], dict[int, list[int]], list[_Layer], list[str]]
+_ENDS = tuple(TerminalStatus)  # a finished state's status in Reachable, by its index here
 
 
 @lru_cache(maxsize=1)
@@ -98,32 +102,42 @@ def game_graph(root: GameState) -> _Graph:
     return ids, kids, layers, prefixes
 
 
-@dataclass
-class Reachable:
-    """Forward closure from a root: every state any sequence of legal moves can hit."""
+class _States(Sequence):
+    """Read-only states at positions ``moves * width + row``, each built when read; with ``ends``, status pairs."""
 
-    ongoing: list[GameState]
-    terminal: list[tuple[GameState, TerminalStatus]]
+    def __init__(self, rows: list[tuple[int, ...]], width: int, at: array, ends: array | None = None) -> None:
+        self._rows, self._width, self._at, self._ends = rows, width, at, ends
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, n: int) -> GameState | tuple[GameState, TerminalStatus]:
+        moves, row = divmod(self._at[n], self._width)  # the array raises IndexError past either end
+        state = GameState(self._rows[row], moves)
+        return state if self._ends is None else (state, _ENDS[self._ends[n]])
+
+
+class Reachable:
+    """Every state legal moves reach from a root; it keeps the parts of the root's graph it reads."""
+
+    def __init__(self, root: GameState) -> None:
+        ids, _, layers, self._prefixes = game_graph(root)
+        rows, width, live, done = list(ids), len(ids), array("I"), array("I")  # rows: row id -> cells
+        for moves, (layer, statuses) in enumerate(layers, root.moves_played):
+            for i, status in zip(layer, statuses):
+                (live if status is ONGOING else done).append(moves * width + i)
+        ends = array("B", (_ENDS.index(s) for _, statuses in layers for s in statuses if s is not ONGOING))
+        self.ongoing, self.terminal = _States(rows, width, live), _States(rows, width, done, ends)
 
     def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
-        keys = (state_key(s) for s in self.ongoing if role is None or role_to_move(s) is role)
-        return frozenset(keys)
+        spots = (divmod(pos, self.ongoing._width) for pos in self.ongoing._at)
+        return frozenset(self._prefixes[row] + str(moves) for moves, row in spots
+                          if role is None or _ROLES[_seat_to_move(moves)] is role)
 
 
 def reachable_states(root: GameState | None = None) -> Reachable:
     """Breadth-first closure; children are discovered in encoded-action order."""
-    root = root if root is not None else initial_state()
-    ids, _, layers, _ = game_graph(root)
-    rows = list(ids)  # row id -> cells
-    reach = Reachable(ongoing=[], terminal=[])
-    for moves, (layer, statuses) in enumerate(layers, root.moves_played):
-        for i, status in zip(layer, statuses):
-            state = GameState(rows[i], moves)
-            if status is ONGOING:
-                reach.ongoing.append(state)
-            else:
-                reach.terminal.append((state, status))
-    return reach
+    return Reachable(root if root is not None else initial_state())
 
 
 @dataclass

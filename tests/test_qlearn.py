@@ -337,11 +337,15 @@ class TestSerialization:
             ("#role=shrinker\n#role=amplifier\n", "line 2: repeated header '#role=amplifier'"),
             ("#role=shrinker\n#seed=3\n", "line 2: unknown header '#seed=3'"),
             ("#role=shrinker\n#episodes\n", "line 2: malformed header '#episodes'"),
+            ("#episodes=3\n#role=bogus\n", "line 2: bad header value"),
+            ("#episodes=3\n", "line 3: missing #role= header"),
         ],
-        ids=["negative", "plus", "leading-zero", "underscore", "empty", "repeated", "unknown", "malformed"],
+        ids=["negative", "plus", "leading-zero", "underscore", "empty", "repeated", "unknown", "malformed",
+             "bad-role", "missing"],
     )
     def test_a_header_save_qtable_would_not_write_is_an_error(self, tmp_path, headers, message):
-        # int() reads -1, +1, 01 and 1_0, and a second #role= used to override the first
+        # int() reads -1, +1, 01 and 1_0, and a second #role= used to override the first;
+        # a bad or missing header is reported on its own line, or at the first row
         path = tmp_path / "q.txt"
         path.write_text(headers + "#config_digest=abc123\n2,2|4\t0=0.5\n")
         with pytest.raises(FormatError) as err:
@@ -399,6 +403,15 @@ class TestSerialization:
             with pytest.raises(FormatError) as err:
                 load_qtable(str(path))
             assert f"line 4: code {code} out of range" in str(err.value)
+
+    @pytest.mark.parametrize("code", ["+1", "01", "0001", "-0"])
+    def test_a_code_save_qtable_would_not_write_is_an_error(self, tmp_path, code):
+        # int() reads each of these as a legal code, but save_qtable writes str(code)
+        path = tmp_path / "q.txt"
+        path.write_text(self.HEADERS + f"2,2|4\t{code}=0.5\n")
+        with pytest.raises(FormatError) as err:
+            load_qtable(str(path))
+        assert f"line 4: code {code!r} is not a code save_qtable writes" in str(err.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_an_error(self, tmp_path, value):

@@ -24,6 +24,7 @@ from flux.engine import (
     MAX_PLIES,
     GameState,
     Role,
+    TerminalStatus,
     apply,
     encode_action,
     initial_state,
@@ -77,14 +78,74 @@ def test_reachable_state_counts(solved):
     assert len(solved.value) == len(reach.ongoing) + len(reach.terminal)
 
 
-def test_reachable_order_is_frozen():
-    reach = reachable_states()
+def _reachable_digest(reach) -> str:
     digest = hashlib.sha256()
     for state in reach.ongoing:
         digest.update(f"{state_key(state)}\n".encode())
     for state, status in reach.terminal:
         digest.update(f"{state_key(state)}\t{status.label}\n".encode())
-    assert digest.hexdigest() == REACHABLE_ORDER_SHA256
+    return digest.hexdigest()
+
+
+def test_reachable_order_is_frozen():
+    assert _reachable_digest(reachable_states()) == REACHABLE_ORDER_SHA256
+
+
+def test_reachable_states_index_like_lists():
+    # the views are read-only sequences: int and negative indexing, iteration
+    # and random.sample work as they did on lists, and a state is built per read
+    reach = reachable_states()
+    ongoing, terminal = list(reach.ongoing), list(reach.terminal)
+    assert (len(ongoing), len(terminal)) == (8410, 8203)
+    assert reach.ongoing[-1] == ongoing[-1] and reach.ongoing[0] == initial_state()
+    assert reach.terminal[-len(terminal)] == terminal[0]
+    for view, n in ((reach.ongoing, len(ongoing)), (reach.terminal, len(terminal))):
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[index]
+    picked = random.Random(4).sample(reach.terminal, 5)
+    assert len(picked) == 5
+    for state, status in picked:
+        assert isinstance(state, GameState) and isinstance(status, TerminalStatus)
+        assert status.is_terminal and status is status_of(state)
+    with pytest.raises(TypeError):
+        reach.ongoing[0] = initial_state()
+
+
+@pytest.mark.parametrize("root", [initial_state(), SUB_ROOT], ids=["standard", "sub-game"])
+def test_ongoing_keys_come_from_the_graph(root):
+    # keys are built from the row prefixes and the move count, no GameState made
+    reach = reachable_states(root)
+    for role in Role:
+        assert reach.ongoing_keys(role) == {state_key(s) for s in reach.ongoing if role_to_move(s) is role}
+    assert reach.ongoing_keys() == {state_key(s) for s in reach.ongoing}
+    assert len(reach.ongoing_keys()) == len(reach.ongoing)
+
+
+def test_reachable_states_keep_their_own_graph(monkeypatch):
+    # a later solve of another root evicts game_graph's cached graph, but the
+    # views read the one they were built from and step no row again
+    reach = reachable_states()
+    solve(SUB_ROOT)
+    calls = [0]
+
+    def counting_step(cells, index, op):
+        calls[0] += 1
+        return flux.engine._step(cells, index, op)
+
+    monkeypatch.setattr(flux.solver, "_step", counting_step)
+    assert _reachable_digest(reach) == REACHABLE_ORDER_SHA256
+    assert len(reach.ongoing_keys(Role.SHRINKER)) == 4426
+    assert calls == [0]
+    reachable_states()  # the standard graph really was evicted: it is built again here
+    assert calls == [15048]
+
+
+def test_reachable_states_build_no_states():
+    # with the graph cached, one array of positions per kind and the terminal
+    # statuses: 8,410 states and 8,203 (state, status) pairs would hold 1.4 MiB
+    game_graph(initial_state())
+    assert _traced_peak(reachable_states) <= 256 * 2**10
 
 
 def test_every_graph_edge_matches_the_checked_apply():
@@ -374,9 +435,13 @@ def test_play_and_classification_leave_the_tables_unbuilt():
 
 def test_solve_command_leaves_the_tables_unbuilt(capsys, tmp_path):
     # the opening's line comes from the scores and solved.txt straight from
-    # them: no 16,613-key table (1.8 MiB), only the float random-play values
-    default_solved.cache_clear()
+    # them: no 16,613-key table (1.8 MiB), only the float random-play values.
+    # A first run loads what the command imports on first use (argparse's gettext
+    # imports locale): interning those names can resize the interpreter's table of
+    # interned strings, 0.4-1 MiB more, by how many names earlier code interned
     game_graph(initial_state())
+    main(["solve", "-o", str(tmp_path)])
+    default_solved.cache_clear()
     assert _traced_peak(lambda: main(["solve", "-o", str(tmp_path)])) <= 2**20
     assert "amplifier wins under best play in 15 plies" in capsys.readouterr().out
     assert hashlib.sha256((tmp_path / "solved.txt").read_bytes()).hexdigest() == SOLVED_TXT_SHA256
@@ -385,7 +450,8 @@ def test_solve_command_leaves_the_tables_unbuilt(capsys, tmp_path):
 def test_enumerate_round_builds_no_tables(tmp_path):
     # the benchmark's enumerate round with the graph cached: the states, the
     # scores, both random-play passes, solved.txt and 1,000 string-keyed reads;
-    # a dict per table and a sorted key list for the export would peak at 6.9 MiB
+    # a dict per table and a sorted key list for the export would peak at 6.9 MiB,
+    # and lists of the reachable states at 3.5 MiB
     game_graph(initial_state())
     kept = []
 
@@ -397,7 +463,7 @@ def test_enumerate_round_builds_no_tables(tmp_path):
         for state in random.Random(3).sample(reach.ongoing, 1000):
             solved.value[state_key(state)]
 
-    assert _traced_peak(round_) <= 4 * 2**20
+    assert _traced_peak(round_) <= 3 * 2**20
 
 
 def test_export_builds_no_table(tmp_path):
