@@ -326,13 +326,15 @@ def _read_typed(obj: dict, field: str, kind: type):
 def read_transcripts(path: str) -> list[GameRecord]:
     """Every game in a transcript file; a record is built at its ``end`` line.
 
-    Records from one file share their immutable rows, texts and statuses,
-    so treat them as read-only values.
+    Equal plies of one file are one ``PlyRecord``, and equal rows, texts and annotations one object,
+    so treat records as read-only values: changing a read ply changes every game that holds it.
     """
     records: list[GameRecord] = []
     header: tuple | None = None  # (game, seed, p0, p1) of the open game, until its end line
     plies: list[PlyRecord] = []
     share = {}.setdefault  # share(v, v) is this file's single copy of the immutable value v
+    seen: dict[tuple, PlyRecord] = {}  # a ply's checked fields and annotation repr -> this file's one record
+    annotations: dict[str | None, dict | None] = {}  # an annotation's repr -> this file's one dict
     for lineno, line in enumerate(text_lines(path, "utf-8", FormatError), start=1):
         line = line.strip()
         if not line:
@@ -361,26 +363,23 @@ def read_transcripts(path: str) -> list[GameRecord]:
                 annotation = obj.get("annotation")
                 if annotation is not None and type(annotation) is not dict:
                     raise ValueError(f"annotation must be an object or null, got {annotation!r}")
-                if annotation:  # its own dict, over shared keys and string values
-                    annotation = {share(k, k): share(v, v) if type(v) is str else v for k, v in annotation.items()}
                 before, after = _read_cells(obj, "cells_before"), _read_cells(obj, "cells_after")
                 text = _read_typed(obj, "action_text", str)
                 ply = _read_typed(obj, "ply", int)
                 if ply < 1:  # numbered from 1: a ply 0 would replay with the seats swapped
                     raise ValueError(f"ply must be at least 1, got {ply}")
-                plies.append(
-                    PlyRecord(
-                        ply=ply,
-                        role=Role(obj["role"]),
-                        cells_before=share(before, before),
-                        action_code=_read_typed(obj, "action", int),
-                        action_text=share(text, text),
-                        cells_after=share(after, after),
-                        sum_after=_read_typed(obj, "sum_after", int),
-                        status=TerminalStatus(_read_typed(obj, "status", str)),
-                        annotation=annotation,
+                role, code = Role(obj["role"]), _read_typed(obj, "action", int)
+                total, status = _read_typed(obj, "sum_after", int), TerminalStatus(_read_typed(obj, "status", str))
+                # repr, not ==: True == 1 and 0.0 == -0.0, and == ignores key order
+                shown = None if annotation is None else repr(annotation)
+                key = (ply, role, before, code, text, after, total, status, shown)
+                record = seen.get(key)
+                if record is None:
+                    record = seen[key] = PlyRecord(
+                        ply, role, share(before, before), code, share(text, text), share(after, after), total, status,
+                        annotations.setdefault(shown, annotation),
                     )
-                )
+                plies.append(record)
             else:
                 if _read_typed(obj, "plies", int) != len(plies):
                     raise ValueError(f"end record counts {obj['plies']} plies, {len(plies)} were read")
@@ -459,14 +458,13 @@ def _had_safe_alternative(state: GameState, mover: Role, chosen: Action) -> bool
 
 
 def classify_failure(record: GameRecord, solved: SolvedGame | None = None) -> list[tuple[int, str]]:
-    """Per-ply failure tags.
+    """Per-ply failure tags of a record that replays, one ``verify_record`` finds no mismatch in.
 
-    Grammar failures (``format``) and out-of-range indices (``row_miscount``)
-    come straight from the reply annotations, so moves chosen by table or
-    search policies can never carry them.  ``sum_blindness`` marks a Shrinker
-    amplify that loses on the spot while a safer move existed; ``myopia`` marks
-    any non-substituted move that turns a theoretically won position into a
-    lost one.
+    On a record that does not replay it may raise ``ValueError``, say for an action code no row has.
+    Grammar failures (``format``) and out-of-range indices (``row_miscount``) come straight from the
+    reply annotations, so moves chosen by table or search policies can never carry them.
+    ``sum_blindness`` marks a Shrinker amplify that loses on the spot while a safer move existed;
+    ``myopia`` marks any non-substituted move that turns a theoretically won position into a lost one.
     """
     if solved is None:
         solved = default_solved()

@@ -25,6 +25,7 @@ from flux.arena import (
     verify_record,
     write_stats_csv,
     write_transcripts,
+    _dump,
 )
 from flux.llm import LlmAgent, ScriptedBackend
 from flux.qlearn import save_qtable
@@ -145,9 +146,48 @@ def test_read_records_share_rows_texts_and_statuses(tmp_path):
         assert shared.setdefault(record.outcome, record.outcome) is record.outcome
 
 
+def test_equal_plies_of_a_file_are_one_record(tmp_path):
+    records = [play_game(HeuristicAgent(), HeuristicAgent(), seed=s, game_id=s) for s in range(20)]
+    path = tmp_path / "games.jsonl"
+    write_transcripts(records, str(path))
+    read = read_transcripts(str(path))
+    assert read == records
+    plies = [p for record in read for p in record.plies]
+    distinct = {id(p) for p in plies}
+    assert len(distinct) <= len(plies) // 10
+    # each distinct ply is one object, wherever in the file it was read
+    assert len(distinct) == len({(p.ply, p.cells_before, p.action_code) for p in plies})
+    again = [p for record in read_transcripts(str(path)) for p in record.plies]
+    assert again == plies
+    assert not distinct & {id(p) for p in again}  # two reads share no ply
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [('{"fallback": true}', '{"fallback": 1}'), ('{"x": 0.0}', '{"x": -0.0}'), ('{"a": 1, "b": 2}', '{"b": 2, "a": 1}')],
+    ids=["bool-int", "zero-sign", "key-order"],
+)
+def test_annotations_that_compare_equal_stay_as_written(tmp_path, first, second):
+    # True == 1, 0.0 == -0.0 and dicts compare without key order, so a key by == would merge these plies
+    record = play_game(RandomAgent(), RandomAgent(), seed=0)
+    lines = []
+    for game, annotation in enumerate((first, second)):
+        record.game_id = game
+        text = record_to_jsonl(record).splitlines(keepends=True)
+        assert '"annotation":null' in text[1]
+        text[1] = text[1].replace('"annotation":null', f'"annotation":{annotation}')
+        lines += text
+    path = tmp_path / "games.jsonl"
+    path.write_text("".join(lines))
+    a, b = (r.plies[0] for r in read_transcripts(str(path)))
+    assert a is not b and a.annotation == b.annotation
+    assert repr(a.annotation) == repr(json.loads(first)) != repr(json.loads(second)) == repr(b.annotation)
+
+
 def test_read_records_stay_compact(tmp_path, small_tables):
-    # about 245 bytes a ply; 668 with a copy of each row, text, status and
-    # annotation key per ply and a __dict__ per record
+    # about 63 bytes a ply, each distinct ply read once; 245 with a record per
+    # ply, and 668 with a copy of each row, text, status and annotation key per
+    # ply and a __dict__ per record
     _, q_a, _ = small_tables
     path = tmp_path / "llm.jsonl"
     replies = ["I refuse to answer.", "DRAIN 0"]
@@ -170,7 +210,7 @@ def test_read_records_stay_compact(tmp_path, small_tables):
     plies = sum(len(r.plies) for r in records)
     assert len(records) == 500
     assert any("raw_reply" in (p.annotation or {}) for r in records for p in r.plies)
-    assert held <= 350 * plies
+    assert held <= 100 * plies
 
 
 def test_unreadable_transcript_reports_the_line(tmp_path):
@@ -304,6 +344,44 @@ def test_transcript_ply_fields_are_type_checked(tmp_path, field, value):
     with pytest.raises(FormatError) as err:
         read_transcripts(str(path))
     assert "line 2" in str(err.value) and field in str(err.value)
+
+
+# one replacement of each kind a JSON field can hold, and the labels the rules produce
+SWEEP_VALUES = (None, True, False, 0, 1, -1, 7, 0.0, -0.0, "", "x", "ongoing", "shrinker", "amplifier:sum_exceeded_20",
+                [], [2, 1, 3, 1, 2], {}, {"fallback": True})
+DELETED = object()
+
+
+def test_every_one_field_edit_is_rejected_or_reads_back(tmp_path, solved):
+    # each line of the second game, each field set to each value or deleted: the reader either
+    # rejects the file, or its records write the same bytes back and replay and tag without a traceback
+    replies = ["I refuse.", "DRAIN 9", "DRAIN 0", "AMPLIFY 1"] * 5
+    records = [play_game(LlmAgent(ScriptedBackend(replies)), HeuristicAgent(), seed=s, game_id=s) for s in range(2)]
+    lines = "".join(record_to_jsonl(r) for r in records).splitlines(keepends=True)
+    path = tmp_path / "games.jsonl"
+    outcomes = {"rejected": 0, "read": 0}
+    for lineno in range(len(records[0].plies) + 2, len(lines)):
+        obj = json.loads(lines[lineno])
+        for name in obj:
+            for value in (*SWEEP_VALUES, DELETED):
+                edited = {**obj, name: value}
+                if value is DELETED:
+                    del edited[name]
+                text = "".join(lines[:lineno]) + _dump(edited) + "".join(lines[lineno + 1:])
+                path.write_text(text)
+                try:
+                    read = read_transcripts(str(path))
+                except FormatError:
+                    outcomes["rejected"] += 1
+                    continue
+                outcomes["read"] += 1
+                if name == "annotation" and value is DELETED:  # a ply without one reads as null
+                    text = text.replace(_dump(edited), _dump({**edited, "annotation": None}))
+                assert "".join(record_to_jsonl(r) for r in read) == text
+                for record in read:
+                    if not verify_record(record):  # classify_failure takes records that replay
+                        classify_failure(record, solved)
+    assert outcomes["rejected"] and outcomes["read"]
 
 
 class TestStats:

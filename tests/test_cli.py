@@ -207,20 +207,21 @@ class TestReplayAndClassify:
         assert err.startswith("error: ")
         assert f"{transcripts}: line {lineno + 1}: 'shrinker:sum_exceeded_20' is not a valid TerminalStatus" in err
 
-    def test_classify_stops_on_a_transcript_that_does_not_replay(self, tmp_path, capsys):
+    @pytest.mark.parametrize("code", [10, -1])  # -1 reads, but classify_failure would raise a bare ValueError on it
+    def test_classify_stops_on_a_transcript_that_does_not_replay(self, tmp_path, capsys, code):
         out = tmp_path / "one"
         run("tournament", "--p0", "random", "--p1", "random", "--games", 1, "--transcripts", "-o", out)
         path = out / "transcripts.jsonl"
         lines = path.read_text().splitlines()
         ply = json.loads(lines[1])
         assert ply["type"] == "ply" and ply["ply"] == 1
-        ply["action"] = 10
+        ply["action"] = code
         lines[1] = json.dumps(ply)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run("classify", path, "-o", tmp_path / "c") == 1
         captured = capsys.readouterr()
-        assert "game 0 ply 1: action code 10 out of range for a row of 5" in captured.err
+        assert f"game 0 ply 1: action code {code} out of range for a row of 5" in captured.err
         assert "histogram" not in captured.out
         assert not (tmp_path / "c").exists()
 
