@@ -334,13 +334,15 @@ _HEADERS = ("role", "episodes", "config_digest")  # a table file has each once, 
 
 
 def save_qtable(q: QTable, path: str) -> None:
-    values, masks, key_of = q._q, q._seen, live_states().key
+    values, masks, live = q._q, q._seen, live_states()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#role={q.role.value}\n#episodes={q.episodes}\n#config_digest={q.config_digest}\n")
-        for key, row in sorted((key_of(n), row) for row, n in enumerate(q._numbers)):
+        # key order without the keys: a prefix holds one "|", at its end, so it sorts before the move count
+        spots = (divmod(live.at[n], live.width) for n in q._numbers)  # (moves, row id) of each table row
+        for prefix, moves, row in sorted((live.prefixes[i], str(m), row) for row, (m, i) in enumerate(spots)):
             seen = masks[row]
             cells = ";".join([f"{c}={values[row * _ROW + c]!r}" for c in range(seen.bit_length()) if seen >> c & 1])
-            fh.write(f"{key}\t{cells}\n")
+            fh.write(f"{prefix}{moves}\t{cells}\n")
 
 
 def load_qtable(path: str) -> QTable:

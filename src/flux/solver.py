@@ -14,10 +14,13 @@ and ``depth``, the plies to the end when the winner hurries and the loser
 stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer, with
 the graph they index, and answers ``winner()`` from them.  The same pass, with
 the mean of the children in place of the mover's best, gives the Shrinker's
-win probability under uniform random play, as a float or exactly, also by
-layer and row id.  The string-keyed tables, ``value``, ``depth`` and
-``random_win_table``, are read-only views over those values that parse each
-key they are asked for; ``export_solved`` writes from the scores.
+win probability under uniform random play, also by layer and row id, each
+layer one past its highest row id wide: as floats in one ``array('d')`` a
+layer, NaN where a row is not in it, or exactly, as integers over one common
+denominator that a read turns into a ``Fraction``.  The string-keyed tables,
+``value``, ``depth`` and ``random_win_table``, are read-only views over those
+values that parse each key they are asked for; ``export_solved`` writes from
+the scores.
 """
 
 from __future__ import annotations
@@ -168,9 +171,9 @@ def _winner(score: int | None) -> Role | None:
 
 
 def _at(graph: _Graph, moves: int, values: list, state: GameState) -> object:
-    """``state``'s entry in ``values``, by layer from move count ``moves`` and row id; None off the graph."""
+    """``state``'s entry in ``values``, by layer from move count ``moves`` and row id; None off the graph or a layer."""
     i, d = graph[0].get(state.cells), state.moves_played - moves
-    return values[d][i] if i is not None and 0 <= d < len(values) else None
+    return values[d][i] if i is not None and 0 <= d < len(values) and i < len(values[d]) else None
 
 
 class _Table(Mapping):
@@ -184,7 +187,7 @@ class _Table(Mapping):
             state = state_from_key(key)  # strict, so a state found here has exactly this key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        # decode gives None off the graph and where the row is not in the layer (score 0, or None)
+        # decode gives None off the graph and where the row is not in the layer (score 0, NaN or None)
         value = self._decode(_at(self._graph, self._moves, self._values, state))
         if value is None:
             raise KeyError(key)
@@ -201,16 +204,17 @@ class _Table(Mapping):
 
 
 def _backward(graph: _Graph, moves: int, ends: tuple, node: Callable, new: Callable) -> list:
-    """One value per state of ``graph``: a fresh ``new(rows)`` per layer, root first, by row id.
+    """One value per state of ``graph``: a fresh ``new(width)`` per layer, root first, by row id.
 
-    ``moves`` is the root's move count.  A finished state is worth ``ends[0]`` if the
-    Shrinker won, else ``ends[1]``; a live one, ``node(seat to move, [its children's
-    values in encoded-action order])``.
+    ``width`` is one past the layer's highest row id, so a layer's values fit in it; slots of
+    rows the layer lacks keep what ``new`` put there.  ``moves`` is the root's move count.  A
+    finished state is worth ``ends[0]`` if the Shrinker won, else ``ends[1]``; a live one,
+    ``node(seat to move, [its children's values in encoded-action order])``.
     """
-    ids, kids, layers, _ = graph
+    _, kids, layers, _ = graph
     values, below = [], None
     for played, (layer, statuses) in reversed([*enumerate(layers, moves)]):
-        seat, here = _seat_to_move(played), new(len(ids))
+        seat, here = _seat_to_move(played), new(max(layer) + 1)
         for i, status in zip(layer, statuses):
             if status is ONGOING:
                 here[i] = node(seat, [below[c] for c in kids[i]])
@@ -231,11 +235,11 @@ def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    _, _, layers, _ = graph = game_graph(root)
-    # one score per state, from the Shrinker's side: horizon - depth if the Shrinker
-    # wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no score is 0
+    ids, _, layers, _ = graph = game_graph(root)
+    # one score per state, in full-width layers as export_solved reads every row id of each: from the Shrinker's
+    # side, horizon - depth if it wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no 0
     horizon = len(layers)
-    scores = _backward(graph, root.moves_played, (horizon, -horizon), _best, lambda n: array("b", bytes(n)))
+    scores = _backward(graph, root.moves_played, (horizon, -horizon), _best, lambda _: array("b", bytes(len(ids))))
     counts = [0, 0]  # live states by the mover's seat, found by identity: count() would run __eq__ on the rest
     for moves, (_, statuses) in enumerate(layers, root.moves_played):
         counts[_seat_to_move(moves)] += [status is ONGOING for status in statuses].count(True)
@@ -260,32 +264,35 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     return _row_actions(len(state.cells))[scores.index(best)]
 
 
-def _random_play(root: GameState, exact: bool) -> list[list[float | Fraction]]:
-    """The Shrinker's win probability by layer and row id when both sides play uniformly."""
-    if exact:
-        from fractions import Fraction  # only an exact table loads it
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+def _random_play(root: GameState, exact: bool) -> tuple[list, Callable]:
+    """The Shrinker's win probability by layer and row id when both sides play uniformly, and its decoder.
 
-    def node(seat: int, outcomes: list) -> float | Fraction:
-        if not exact:  # one by one in encoded-action order; sum() rounds differently on 3.12+
-            return reduce(add, outcomes, zero) / len(outcomes)
-        lcd = 1  # over one common denominator: one gcd per state, not one per child
-        for q in outcomes:  # not lcm(*...), whose argument tuples pile up on free lists
-            lcd = math.lcm(lcd, q.denominator)
-        total = sum(q.numerator * (lcd // q.denominator) for q in outcomes)
-        return Fraction(total, lcd * len(outcomes))
-
-    return _backward(game_graph(root), root.moves_played, (one, zero), node, lambda n: [None] * n)
+    A float layer is an ``array('d')``, NaN where the layer holds no state.  An exact value is an
+    integer over one denominator ``D = L ** (layers - 1)``, ``L`` the lcm of the live rows' numbers
+    of moves: ``D`` times a probability ``d`` layers down is a multiple of ``L ** d``, so every mean
+    divides exactly, and the pass makes no ``Fraction`` and no gcd.
+    """
+    _, kids, layers, _ = graph = game_graph(root)
+    if not exact:  # one by one in encoded-action order; sum() rounds differently on 3.12+
+        values = _backward(graph, root.moves_played, (1.0, 0.0), lambda _, outs: reduce(add, outs, 0.0) / len(outs),
+                           lambda n: array("d", [math.nan]) * n)
+        return values, lambda p: p if p == p else None  # None off the graph; NaN, an empty slot, is not == NaN
+    from fractions import Fraction  # only an exact table loads it
+    denom = math.lcm(*map(len, kids.values())) ** (len(layers) - 1)  # D
+    values = _backward(graph, root.moves_played, (denom, 0), lambda _, outs: sum(outs) // len(outs),
+                       lambda n: [None] * n)
+    return values, lambda n: None if n is None else Fraction(n, denom)
 
 
 def random_win_table(root: GameState | None = None, exact: bool = False) -> Mapping[str, float | Fraction]:
     """Shrinker win probability at every reachable state when both sides play uniformly."""
     root = root if root is not None else initial_state()
-    return _Table(game_graph(root), root.moves_played, _random_play(root, exact), lambda p: p)
+    return _Table(game_graph(root), root.moves_played, *_random_play(root, exact))
 
 
 def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
-    return _random_play(state, exact)[0][0]  # the root is row 0 of the first layer
+    values, decode = _random_play(state, exact)
+    return decode(values[0][0])  # the root is row 0 of the first layer
 
 
 def export_solved(solved: SolvedGame, path: str) -> None:

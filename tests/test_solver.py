@@ -8,6 +8,7 @@ are frozen here as regression anchors.
 
 import gc
 import hashlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -66,6 +67,9 @@ RANDOM_TABLE_EXACT_SHA256 = "6676b23dba87bfcdc979de769101aea07881975e4b840356cce
 SUB_ROOT = GameState((12, 1, 2), 5)
 UNSOLVED = (GameState((2, 1, 3, 1, 2), 1), GameState((1, 1, 1, 1, 1, 1), 0))
 BEFORE_SUB_ROOT = GameState((12, 1, 2), 4)
+# a root with seven cells: its rows offer up to 14 moves, so the lcm of the numbers of
+# moves, the root of the exact tables' common denominator, is 840, not the standard 120
+SEVEN_CELLS = GameState((1,) * 7, 8)
 
 
 def test_reachable_state_counts(solved):
@@ -450,8 +454,9 @@ def test_solve_command_leaves_the_tables_unbuilt(capsys, tmp_path):
 def test_enumerate_round_builds_no_tables(tmp_path):
     # the benchmark's enumerate round with the graph cached: the states, the
     # scores, both random-play passes, solved.txt and 1,000 string-keyed reads;
-    # a dict per table and a sorted key list for the export would peak at 6.9 MiB,
-    # and lists of the reachable states at 3.5 MiB
+    # about 1.1 MiB; a dict per table and a sorted key list for the export would
+    # peak at 6.9 MiB, lists of the reachable states at 3.5 MiB, and random-play
+    # tables of a float object and a Fraction a state at 2.1 MiB
     game_graph(initial_state())
     kept = []
 
@@ -463,7 +468,7 @@ def test_enumerate_round_builds_no_tables(tmp_path):
         for state in random.Random(3).sample(reach.ongoing, 1000):
             solved.value[state_key(state)]
 
-    assert _traced_peak(round_) <= 3 * 2**20
+    assert _traced_peak(round_) <= 1.75 * 2**20
 
 
 def test_export_builds_no_table(tmp_path):
@@ -525,14 +530,18 @@ def test_solve_peak_memory_stays_near_its_result():
     assert peak - base <= 2 * (current - base)
 
 
-def test_sub_games_agree_with_the_full_game(solved):
-    full_exact = random_win_table(exact=True)
-    # seeded live roots of both movers, plus one a single move before the end
+def _sub_game_roots() -> list[GameState]:
+    """Seeded live roots of both movers, plus one a single move before the end."""
     live = reachable_states().ongoing
     roots = random.Random(23).sample(live, 19)
     roots.append(next(s for s in live if s.moves_played == 14))
     assert {role_to_move(r) for r in roots} == {Role.SHRINKER, Role.AMPLIFIER}
-    for root in roots:
+    return roots
+
+
+def test_sub_games_agree_with_the_full_game(solved):
+    full_exact = random_win_table(exact=True)
+    for root in _sub_game_roots():
         sub = solve(root)
         reach = reachable_states(root)
         keys = {state_key(s) for s in reach.ongoing} | {state_key(s) for s, _ in reach.terminal}
@@ -545,6 +554,71 @@ def test_sub_games_agree_with_the_full_game(solved):
         table = random_win_table(root, exact=True)
         assert set(table) == keys
         assert all(table[k] == full_exact[k] for k in keys)
+
+
+def _fraction_reference(root: GameState) -> dict[str, Fraction]:
+    """The exact random-play table by ``Fraction`` arithmetic, one lcm of the children's denominators a state."""
+
+    def node(seat, outcomes):
+        lcd = 1
+        for q in outcomes:
+            lcd = math.lcm(lcd, q.denominator)
+        return Fraction(sum(q.numerator * (lcd // q.denominator) for q in outcomes), lcd * len(outcomes))
+
+    _, _, layers, prefixes = graph = game_graph(root)
+    values = flux.solver._backward(graph, root.moves_played, (Fraction(1), Fraction(0)), node, lambda n: [None] * n)
+    return {prefixes[i] + str(root.moves_played + d): values[d][i]
+            for d, (layer, _) in enumerate(layers) for i in layer}
+
+
+def test_exact_integers_agree_with_fraction_arithmetic():
+    # the exact pass keeps integers over one common denominator and divides each
+    # sum of children exactly; every state must read as the Fraction pass gives it
+    _, kids, _, _ = game_graph(SEVEN_CELLS)
+    assert status_of(SEVEN_CELLS) is TerminalStatus.ONGOING
+    assert math.lcm(*map(len, kids.values())) == 840
+    for root in [initial_state(), *_sub_game_roots(), SEVEN_CELLS]:
+        table = random_win_table(root, exact=True)
+        assert table == _fraction_reference(root), state_key(root)
+        p = random_win_prob(root, exact=True)
+        assert type(p) is Fraction and math.gcd(p.numerator, p.denominator) == 1
+        assert p == table[state_key(root)]
+
+
+def test_no_empty_slot_reads_as_a_value():
+    # each view keeps its values by layer and row id, with a marker where a layer
+    # lacks a row (a score of 0, NaN among floats, None among exact values), and a
+    # random-play layer ends after its highest row id: none of these reads as a value
+    ids, _, layers, _ = game_graph(initial_state())
+    rows, widths = list(ids), [max(layer) + 1 for layer, _ in layers]
+    assert sum(widths) == 31513
+    holes = [GameState(rows[min(set(range(w)) - set(layer))], d)
+             for d, ((layer, _), w) in enumerate(zip(layers, widths)) if len(layer) < w]
+    assert len(holes) == len(layers) - 1  # every layer but the opening one has a hole
+    past = [GameState(rows[widths[0]], 0), GameState(rows[-1], 0), GameState(rows[widths[10]], 10)]
+    cases = [(initial_state(), state) for state in (*UNSOLVED, *holes, *past)] + [(SUB_ROOT, BEFORE_SUB_ROOT)]
+    for root in (initial_state(), SUB_ROOT):
+        solved = solve(root)
+        tables = _four_tables(root)
+        for state in (state for r, state in cases if r == root):
+            assert solved.winner(state) is None
+            for table in tables:
+                assert state_key(state) not in table
+                with pytest.raises(KeyError):
+                    table[state_key(state)]
+    floats = random_win_table()
+    assert len(floats) == 16613
+    assert all(0.0 <= p <= 1.0 for p in floats.values())  # NaN fails both
+
+
+@pytest.mark.parametrize(("exact", "bound"), [(False, 320 * 2**10), (True, 0.85 * 2**20)], ids=["float", "exact"])
+def test_random_tables_stay_flat(exact, bound):
+    # with the graph cached: 31,513 slots of 8 bytes in arrays (250 KiB), or one
+    # int of about 100 bits a state in lists (485 KiB); a float object a state in
+    # lists 3,333 slots wide would keep 617 KiB, and a Fraction a state 1.1 MiB
+    game_graph(initial_state())
+    kept = []
+    assert _traced_peak(lambda: kept.append(random_win_table(exact=exact))) <= bound
 
 
 def test_solving_a_finished_game_raises():
