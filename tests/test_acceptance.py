@@ -455,6 +455,13 @@ def test_standard_run_bytes_are_pinned(work, trained):
     assert _sha256(curve_path) == "e1e9992cf46d71a6392986c4cd896a6423bf9fb37f1251ad2f3e93b57831da4f"
 
 
+def test_benchmark_bytes_are_pinned(bench):
+    # not a criterion: the grid's files over the standard run's tables, digests
+    # taken before the agents became seats; criterion 8 only compares reruns
+    assert _sha256(bench["report_path"]) == "edbf54985b8719bbedc8e35386612a2fd234fdc2e22c5fb9e0ea38e3c75fdb8b"
+    assert _sha256(bench["csv_path"]) == "aafe6c12d15006343cd7f285b0c22c88aecf49512722bf11170a0ca29c39847e"
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

@@ -1,8 +1,10 @@
 import copy
 import gc
+import hashlib
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from flux.llm import LlmAgent, ScriptedBackend
 from flux.qlearn import save_qtable
 
 from conftest import load_rows
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
 
 
 def test_play_game_is_deterministic_per_seed():
@@ -505,6 +509,34 @@ class TestMatchups:
         records = (play_game(RandomAgent(), HeuristicAgent(), 5 + i, game_id=i) for i in range(9))
         write_transcripts(records, str(written))
         assert played.read_bytes() == written.read_bytes()
+
+    # SHA-256 of a 200-game transcript from base seed 500, with the matchup's
+    # fallback and substitution counts; taken before the agents became seats,
+    # so a change to any agent's moves or to the order of its draws shows here
+    PINNED = {
+        "heuristic-vs-rl": ("7392f1cd70b98224508f25b1be59f2319a4d7598be57f6c5b973baef50354d8c", 0, 0),
+        "random-vs-random": ("97ae0e653e21f76237b8ff45f858d116ac2bfea7476a0cd2e5a7573bd3126787", 0, 0),
+        "optimal-vs-random": ("e1065d74c8ebb10d78d57d817c0d348165c97641dcaded736f30c3f0599cea52", 0, 0),
+        "llm-vs-rl": ("ce4b8093023e18582b4c9b9d16edb21aa6f600273f4c64cff709b1d6e8d7672a", 22, 650),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_transcripts_are_pinned(self, tmp_path, name):
+        def noisy_llm(seed):  # criterion 7's chat model: half garbage, half DRAIN 0
+            rng = random.Random(seed ^ 0xA5A5)
+            replies = ["I refuse to answer." if rng.random() < 0.5 else "DRAIN 0" for _ in range(20)]
+            return LlmAgent(ScriptedBackend(replies), name="llm:scripted-noise")
+
+        p0, p1 = {
+            "heuristic-vs-rl": ("heuristic", f"rl:{FIXTURE}"),
+            "random-vs-random": ("random", "random"),
+            "optimal-vs-random": ("optimal", "random"),
+            "llm-vs-rl": (noisy_llm, f"rl:{FIXTURE}"),
+        }[name]
+        path = tmp_path / "t.jsonl"
+        stats = run_matchup(MatchupSpec(p0=p0, p1=p1, games=200, base_seed=500), transcript_path=str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (digest, stats.fallback_count, stats.invalid_moves) == self.PINNED[name]
 
     def test_zero_games_is_a_config_error(self):
         with pytest.raises(ConfigError):
