@@ -1,9 +1,10 @@
-"""Baseline policies: uniform random, one-step greedy heuristics, and greedy Q-table play.
+"""Baseline agents as seats: uniform random, one-step greedy heuristics, and greedy Q-table play.
 
-Policies are picked per game through :class:`AgentPolicy` objects; the bare
-functions underneath are pure and reusable (training uses them directly).
-All randomness flows through an explicit ``random.Random`` so games replay
-bit-for-bit from a seed.
+A seat is an agent that is a function of the position: ``code(cells, moves)`` is the action code
+it plays on a live row, or ``None`` for a uniformly random move.  ``Seat.choose`` plays any seat,
+and ``draw`` is the one place a move is sampled: one ``rng.randrange`` over the row's codes, only
+for ``None``.  Training plays its non-learning seat through the same two functions.  All
+randomness flows through an explicit ``random.Random`` so games replay bit-for-bit from a seed.
 """
 
 from __future__ import annotations
@@ -11,17 +12,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .engine import (
-    _AMPLIFY,
-    _DRAIN,
-    ONGOING,
-    Action,
-    GameState,
-    Role,
-    decode_action,
-    state_key,
-    status_of,
-)
+from .engine import ONGOING, Action, GameState, Role, _seat_to_move, decode_action, state_key, status_of
 from .errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -47,57 +38,63 @@ class AgentPolicy:
         raise NotImplementedError
 
 
-def random_policy(state: GameState, rng: RandomSource) -> Action:
-    # Every (cell, op) pair is legal, so a single draw over codes is uniform
-    # over legal_actions without building the list.
-    return decode_action(rng.randrange(2 * len(state.cells)), len(state.cells))
+def draw(code: int | None, n_codes: int, rng: RandomSource) -> int:
+    """The code a seat plays: ``code``, or for ``None`` one uniform draw over the row's ``n_codes`` codes.
+
+    Every (cell, op) pair is legal, so the draw is uniform over ``legal_actions`` without building it.
+    """
+    return rng.randrange(n_codes) if code is None else code
 
 
-def _live_row(state: GameState) -> tuple[int, ...]:
-    if status_of(state) is not ONGOING:
-        raise StateError(f"game over in state {state_key(state)!r}; no legal actions")
-    return state.cells
+class Seat(AgentPolicy):
+    """An agent that is a function of the position, played through ``code``."""
+
+    def code(self, cells: tuple[int, ...], moves: int) -> int | None:
+        """The code to play on the live row ``cells`` after ``moves`` moves, or ``None`` for a uniform move."""
+        raise NotImplementedError
+
+    def choose(self, state, role, rng):
+        cells = state.cells
+        if status_of(state) is not ONGOING:
+            raise StateError(f"game over in state {state_key(state)!r}; no legal actions")
+        return decode_action(draw(self.code(cells, state.moves_played), 2 * len(cells), rng), len(cells))
 
 
-def heuristic_shrinker(state: GameState) -> Action:
+def heuristic_shrinker(cells: tuple[int, ...]) -> int:
     """Prefer moves that delete cells; penalise any sum growth.
 
     One step of greedy search, scored ten per removed cell minus any sum
     growth, ties to the lowest code.  Only draining a 1 removes a cell and no
     drain grows the sum, so this drains the first cell holding 1, else cell 0.
     """
-    cells = _live_row(state)
-    return Action(cells.index(1) if 1 in cells else 0, _DRAIN)
+    return 2 * cells.index(1) + 1 if 1 in cells else 1
 
 
-def heuristic_amplifier(state: GameState) -> Action:
+def heuristic_amplifier(cells: tuple[int, ...]) -> int:
     """Prefer moves that grow the sum; penalise losing cells.
 
     One step of greedy search, scored by sum growth minus ten per removed
     cell, ties to the lowest code.  Doubling a cell grows the sum by its value
     and no drain grows it, so this doubles the first largest cell.
     """
-    cells = _live_row(state)
-    return Action(cells.index(max(cells)), _AMPLIFY)
+    return 2 * cells.index(max(cells))
 
 
-class RandomAgent(AgentPolicy):
+class RandomAgent(Seat):
     name = "random"
 
-    def choose(self, state, role, rng):
-        return random_policy(state, rng)
+    def code(self, cells, moves):
+        return None
 
 
-class HeuristicAgent(AgentPolicy):
+class HeuristicAgent(Seat):
     name = "heuristic"
 
-    def choose(self, state, role, rng):
-        if role is Role.SHRINKER:
-            return heuristic_shrinker(state)
-        return heuristic_amplifier(state)
+    def code(self, cells, moves):
+        return heuristic_amplifier(cells) if _seat_to_move(moves) else heuristic_shrinker(cells)
 
 
-class GreedyQAgent(AgentPolicy):
+class GreedyQAgent(Seat):
     """Plays the argmax of a trained Q-table; unseen states fall back to random.
 
     A fallback is annotated ``{"fallback": True}``; the arena counts them from
@@ -111,10 +108,8 @@ class GreedyQAgent(AgentPolicy):
         from .qlearn import live_states  # qlearn imports this module
         self.qtable, self._live = qtable, live_states()
 
-    def choose(self, state, role, rng):
-        n, k = self._live.find(state.cells, state.moves_played), len(state.cells)
-        if n < 0 or self.qtable._index[n] < 0:
-            self.last_annotation = {"fallback": True}
-            return random_policy(state, rng)
-        self.last_annotation = None
-        return decode_action(self.qtable.best_code(n, 2 * k), k)
+    def code(self, cells, moves):
+        n = self._live.find(cells, moves)
+        held = n >= 0 and self.qtable._index[n] >= 0
+        self.last_annotation = None if held else {"fallback": True}
+        return self.qtable.best_code(n, 2 * len(cells)) if held else None

@@ -23,17 +23,18 @@ from .agents import (
     RandomSource,
 )
 from .engine import (
+    _ROLES,
     Action,
     GameState,
     Op,
     Role,
     TerminalStatus,
+    _seat_to_move,
     apply,
     decode_action,
     encode_action,
     initial_state,
     legal_actions,
-    role_to_move,
     status_of,
 )
 from .errors import ConfigError, FormatError, text_lines
@@ -71,7 +72,7 @@ class GameRecord:
 
 def _ply(state: GameState, action: Action, annotation: dict | None = None) -> tuple[PlyRecord, GameState]:
     """One move, checked by ``apply``, as its record and the state it leads to; every ply is built here."""
-    role = role_to_move(state)
+    role = _ROLES[_seat_to_move(state.moves_played)]  # the callers found the game live, and apply checks it
     nxt, status = apply(state, action)
     ply = PlyRecord(
         ply=nxt.moves_played,
@@ -95,7 +96,7 @@ def play_game(p0: AgentPolicy, p1: AgentPolicy, seed: int, game_id: int = 0) -> 
     status = status_of(state)
     plies: list[PlyRecord] = []
     while not status.is_terminal:
-        role = role_to_move(state)
+        role = _ROLES[_seat_to_move(state.moves_played)]
         agent = seats[role]
         agent.last_annotation = None
         action = agent.choose(state, role, rng)
@@ -189,8 +190,8 @@ class MatchupSpec:
     label: str = ""
 
 
-def agent_factory(identifier):
-    """Turn an agent id into a per-game factory; config problems surface here."""
+def agent_factory(identifier, role: Role):
+    """Turn an agent id into a per-game factory for the seat ``role``; config problems surface here."""
     if callable(identifier):
         return identifier
     if identifier == "random":
@@ -204,7 +205,8 @@ def agent_factory(identifier):
         path = identifier[len("rl:") :]
         if not os.path.exists(path):
             raise ConfigError(f"Q-table file not found: {path}")
-        qtable = load_qtable(path)
+        if (qtable := load_qtable(path)).role is not role:  # it holds no state of this seat: every ply would fall back
+            raise ConfigError(f"Q-table {path} has #role={qtable.role.value} and cannot play the {role.value}")
         return lambda seed: GreedyQAgent(qtable)
     if identifier.startswith("llm:"):
         backend_spec = identifier[len("llm:") :]
@@ -227,8 +229,8 @@ def run_matchup(spec: MatchupSpec, transcript_path: str | None = None) -> MatchS
     """Play and count the games in seed order, streaming each record to the transcript if one is asked for."""
     if spec.games <= 0:
         raise ConfigError("a matchup needs at least one game")
-    p0_factory = agent_factory(spec.p0)
-    p1_factory = agent_factory(spec.p1)
+    p0_factory = agent_factory(spec.p0, Role.SHRINKER)
+    p1_factory = agent_factory(spec.p1, Role.AMPLIFIER)
     stats = MatchStats()
 
     def played() -> Iterator[GameRecord]:

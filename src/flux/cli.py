@@ -164,7 +164,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     from .arena import agent_factory
     from .llm import INSTRUCTION, parse_reply, render_observation
     human_role = Role(args.role)
-    opponent = agent_factory(args.opponent)(args.seed)
+    opponent = agent_factory(args.opponent, human_role.opponent)(args.seed)
     rng = RandomSource(args.seed)
     state = initial_state()
     status = status_of(state)

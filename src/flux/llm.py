@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .agents import AgentPolicy, RandomSource, random_policy
+from .agents import AgentPolicy, RandomAgent, RandomSource
 from .engine import Action, GameState, MAX_PLIES, Op, Role
 from .errors import ConfigError, TransportError
 
@@ -121,7 +121,7 @@ def llm_agent_step(
         raw = ""
         transport_failure = True
     parsed = parse_reply(raw, state)
-    action = parsed.action if parsed.ok else random_policy(state, rng)
+    action = parsed.action if parsed.ok else RandomAgent().choose(state, role, rng)  # the uniform seat's one draw
     conversation.append(("assistant", action.text))
     annotation = {
         "raw_reply": raw,

@@ -1,12 +1,13 @@
 """Tabular Q-learning for Flux, one table per role.
 
-Training cycles through three episode modes: the Shrinker learning against a
-random opponent, the Amplifier learning against a random opponent, and
-symmetric self-play where both tables update.  A learner's transition runs
-from one of its own decision points to the next, so the opponent's reply is
-folded into the environment.  The rewards are fixed constants of the recipe,
-``REWARDS``: +1 for a win and -1 for a loss at the end of the game, 0 for every
-step in between; no flag or config field sets them.
+Training cycles through three episode modes: the Shrinker learning against the
+uniform ``RandomAgent`` seat, the Amplifier learning against it, and symmetric
+self-play where both tables update; ``_SEATS_BY_MODE`` gives, per seat, ``None``
+for a learner, else the ``Seat`` that plays it, and ``agents.draw`` makes every
+uniform move.  A learner's transition runs from one of its own decision points to the
+next, so the opponent's reply is folded into the environment.  The rewards are
+fixed constants of the recipe, ``REWARDS``: +1 for a win and -1 for a loss at
+the end of the game, 0 for every step in between; no flag or config field sets them.
 
 Tables index the standard game's 8,410 live states by number (``LiveStates``).  A ``QTable`` keeps
 flat stores: an array from state number to row (-1 for none), each row's state number, ten ``float``
@@ -25,7 +26,7 @@ from functools import cache
 from itertools import chain
 from math import isfinite
 
-from .agents import RandomSource
+from .agents import RandomAgent, RandomSource, draw
 from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, ONGOING, GameState, Role, _seat_to_move, initial_state,
                      state_from_key, status_of)
 from .errors import ConfigError, FormatError, text_lines
@@ -40,10 +41,11 @@ MODE_SELF_PLAY = 3
 # the recipe's fixed rewards; digest() hashes them with the config's fields, under these names
 REWARDS = {"reward_win": 1.0, "reward_loss": -1.0, "reward_step": 0.0}
 
-_LEARNS_BY_MODE = {  # whether each seat's table updates
-    MODE_SHRINKER_VS_RANDOM: (True, False),
-    MODE_AMPLIFIER_VS_RANDOM: (False, True),
-    MODE_SELF_PLAY: (True, True),
+_MOVERS = tuple(map(_seat_to_move, range(MAX_PLIES)))  # the seat to move by move count: an index a ply, not a call
+_SEATS_BY_MODE = {  # per seat: None where that table learns, else the Seat that plays it
+    MODE_SHRINKER_VS_RANDOM: (None, RandomAgent()),
+    MODE_AMPLIFIER_VS_RANDOM: (RandomAgent(), None),
+    MODE_SELF_PLAY: (None, None),
 }
 
 
@@ -217,30 +219,30 @@ def q_update(q: QTable, n: int, a_code: int, reward: float, next_n: int | None, 
 
 def run_episode(mode: int, q_shrinker: QTable, q_amplifier: QTable, episode_idx: int, cfg: TrainConfig,
                 rng: RandomSource) -> tuple[Role, int]:
-    """Play one training game, updating whichever tables the mode marks as learners; return (winner, plies).
+    """Play one training game, updating the tables the mode lets learn; return (winner, plies).
 
-    A ply steps along the standard graph's ``kids`` by (move count, row id) and reads the next state's
-    number, -1 once the game is over; a seat indexes the tables by ``player_index``.
+    A ply steps along the standard graph's ``kids`` by (move count, row id) and reads the next state's number,
+    -1 once the game is over.  A learner is epsilon-greedy; any other seat plays its ``code`` through ``draw``.
     """
-    learns, tables, eps = _LEARNS_BY_MODE[mode], (q_shrinker, q_amplifier), epsilon_at(episode_idx, cfg)
-    live = live_states()
-    kids, number_at, width = live.kids, live.number_at, live.width
+    seats, tables, eps = _SEATS_BY_MODE[mode], (q_shrinker, q_amplifier), epsilon_at(episode_idx, cfg)
+    live, step = live_states(), REWARDS["reward_step"]
+    kids, number_at, width, rows = live.kids, live.number_at, live.width, live.rows
     moves = row = n = 0  # the opening: move count 0, row id 0, state number 0
     pending: list[tuple[int, int] | None] = [None, None]  # each seat's last (state number, code)
     while n >= 0:
-        seat, codes = _seat_to_move(moves), kids[row]
-        if learns[seat]:
-            table, n_codes = tables[seat], len(codes)
-            if pending[seat]:
-                q_update(table, *pending[seat], REWARDS["reward_step"], n, n_codes, cfg)
-            # one draw decides explore vs exploit; a second picks the move only when exploring
-            code = rng.randrange(n_codes) if rng.random() < eps else table.best_code(n, n_codes)
-            pending[seat] = (n, code)
+        mover, codes = _MOVERS[moves], kids[row]
+        if (seat := seats[mover]) is None:
+            table, n_codes = tables[mover], len(codes)
+            if pending[mover]:
+                q_update(table, *pending[mover], step, n, n_codes, cfg)
+            # one draw decides explore vs exploit; exploring plays the uniform seat's draw
+            code = draw(None, n_codes, rng) if rng.random() < eps else table.best_code(n, n_codes)
+            pending[mover] = (n, code)
         else:
-            code = rng.randrange(len(codes))  # random_policy's one draw
+            code = draw(seat.code(rows[row], moves), len(codes), rng)
         moves, row = moves + 1, codes[code]
         n = number_at(moves * width + row)
-    status = status_of(GameState(live.rows[row], moves))
+    status = status_of(GameState(rows[row], moves))
 
     for role, table, last in zip(_ROLES, tables, pending):
         if last:

@@ -34,7 +34,7 @@ from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
 
-from .agents import AgentPolicy
+from .agents import Seat
 from .engine import (
     _AMPLIFIER,
     _ROLES,
@@ -48,8 +48,8 @@ from .engine import (
     _row_actions,
     _seat_to_move,
     _step,
+    encode_action,
     initial_state,
-    role_to_move,
     state_from_key,
     state_key,
     status_of,
@@ -260,7 +260,7 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     # a solved state's children, terminal or not, are solved one layer down; a higher
     # score is a Shrinker win, a faster one, or a slower loss; index finds the lowest code
     scores = [below[kid] for kid in kids[ids[state.cells]]]
-    best = max(scores) if role_to_move(state) is _SHRINKER else min(scores)
+    best = min(scores) if _seat_to_move(state.moves_played) else max(scores)  # the game is live
     return _row_actions(len(state.cells))[scores.index(best)]
 
 
@@ -313,12 +313,12 @@ def default_solved() -> SolvedGame:
     return solve()
 
 
-class OptimalAgent(AgentPolicy):
+class OptimalAgent(Seat):
     name = "optimal"
 
     def __init__(self, solved: SolvedGame | None = None) -> None:
         super().__init__()
         self.solved = solved if solved is not None else default_solved()
 
-    def choose(self, state, role, rng):
-        return optimal_policy(self.solved, state)
+    def code(self, cells, moves):
+        return encode_action(optimal_policy(self.solved, GameState(cells, moves)))

@@ -549,32 +549,52 @@ class TestAgentFactory:
         q_path = tmp_path / "q.txt"
         save_qtable(q_s, str(q_path))
         for identifier in ("random", "heuristic", "optimal", f"rl:{q_path}"):
-            agent = agent_factory(identifier)(0)
+            agent = agent_factory(identifier, Role.SHRINKER)(0)
             assert hasattr(agent, "choose")
 
     def test_scripted_llm_reads_a_reply_file(self, tmp_path):
         script = tmp_path / "replies.txt"
         script.write_text("DRAIN 1\nAMPLIFY 0\n")
-        agent = agent_factory(f"llm:scripted={script}")(0)
+        agent = agent_factory(f"llm:scripted={script}", Role.SHRINKER)(0)
         action = agent.choose(GameState((2, 1, 3, 1, 2), 0), Role.SHRINKER, random.Random(0))
         assert action.text == "DRAIN 1"
 
     def test_missing_table_file(self):
         with pytest.raises(ConfigError):
-            agent_factory("rl:/nonexistent/q.txt")
+            agent_factory("rl:/nonexistent/q.txt", Role.SHRINKER)
+
+    def test_table_in_the_wrong_seat(self):
+        # an Amplifier's table never holds a Shrinker's state: every ply would fall back to random
+        with pytest.raises(ConfigError, match="has #role=amplifier and cannot play the shrinker"):
+            agent_factory(f"rl:{FIXTURE}", Role.SHRINKER)
+        assert agent_factory(f"rl:{FIXTURE}", Role.AMPLIFIER)(0).qtable.role is Role.AMPLIFIER
+
+    def test_matchup_checks_both_seats_before_any_game(self, tmp_path):
+        shrinker_table = tmp_path / "q_s.txt"
+        save_qtable(load_rows(Role.SHRINKER, {}), str(shrinker_table))
+        played, path = [], tmp_path / "t.jsonl"
+
+        def spy(seed):
+            played.append(seed)
+            return RandomAgent()
+
+        for p0, p1 in ((f"rl:{FIXTURE}", spy), (spy, f"rl:{shrinker_table}")):
+            with pytest.raises(ConfigError, match="cannot play"):
+                run_matchup(MatchupSpec(p0=p0, p1=p1, games=5), transcript_path=str(path))
+        assert played == [] and not path.exists()
 
     def test_unknown_and_reserved_ids(self):
         with pytest.raises(ConfigError):
-            agent_factory("alphazero")
+            agent_factory("alphazero", Role.SHRINKER)
         with pytest.raises(ConfigError):
-            agent_factory("human")
+            agent_factory("human", Role.SHRINKER)
         with pytest.raises(ConfigError):
-            agent_factory("llm:telepathy")
+            agent_factory("llm:telepathy", Role.SHRINKER)
 
 
 class TestClassifier:
     def test_clean_optimal_game_has_no_tags(self):
-        record = play_game(agent_factory("optimal")(0), agent_factory("optimal")(0), seed=0)
+        record = play_game(agent_factory("optimal", Role.SHRINKER)(0), agent_factory("optimal", Role.AMPLIFIER)(0), seed=0)
         assert classify_failure(record) == []
 
     def test_sum_blindness_worked_example(self, make_scripted_record):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from flux.cli import build_parser, main
 from flux.qlearn import CURVE_HEADER, TrainConfig, load_qtable
 from flux.arena import STATS_CSV_HEADER, read_transcripts
 from flux.engine import Role
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
 
 
 def run(*argv):
@@ -128,6 +132,14 @@ class TestTournament:
     def test_missing_table_exits_2(self, tmp_path, capsys):
         assert run("tournament", "--p0", f"rl:{tmp_path}/none.txt", "--p1", "random") == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_table_in_the_wrong_seat_exits_2(self, tmp_path, capsys):
+        # the Amplifier's table as the Shrinker would fall back to random on every ply
+        assert run("tournament", "--p0", f"rl:{FIXTURE}", "--p1", "random", "--games", 200, "--transcripts",
+                   "-o", tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert "#role=amplifier and cannot play the shrinker" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -296,3 +308,11 @@ class TestPlay:
         monkeypatch.setattr("builtins.input", no_input)
         assert run("play", "--as", "shrinker", "--opponent", "random", "--seed", 0) == 2
         assert "abandoned" in capsys.readouterr().out
+
+    def test_opponent_table_in_the_wrong_seat_exits_2(self, monkeypatch, capsys):
+        # playing as the Amplifier puts the opponent's table in the Shrinker's seat
+        monkeypatch.setattr("builtins.input", lambda prompt="": "DRAIN 0")
+        assert run("play", "--as", "amplifier", "--opponent", f"rl:{FIXTURE}") == 2
+        out, err = capsys.readouterr()
+        assert "cannot play the shrinker" in err and out == ""
+        assert run("play", "--as", "shrinker", "--opponent", f"rl:{FIXTURE}") == 0
