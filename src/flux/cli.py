@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import fields
+from functools import partial
 
 from .agents import RandomSource
 from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
@@ -42,32 +43,38 @@ def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
         fh.write("\n")
 
 
+def _write_out(out: str, command: str, params: dict, files: dict[str, Callable[[str], None]]) -> None:
+    """Write each file under ``out`` by its writer, which takes the path, then run.cfg, then say what was written."""
+    os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, name) for name in files]
+    for path, write in zip(paths, files.values()):
+        write(path)
+    _write_run_cfg(out, command, params)
+    for path in paths:
+        print(f"wrote {path}")
+
+
+def _write_lines(lines: Iterable[str], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _options(args: argparse.Namespace, names: Iterable[str]) -> dict:
     """The named options, as the keyword arguments or run.cfg entries they become."""
     return {name: getattr(args, name) for name in names}
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(**_options(args, (f.name for f in fields(TrainConfig))))
     q_shrinker, q_amplifier, curve = train(cfg)
-    out = _ensure_out(args.out)
-    shrinker_path = os.path.join(out, "q_shrinker.txt")
-    amplifier_path = os.path.join(out, "q_amplifier.txt")
-    curve_path = os.path.join(out, "training_curve.csv")
-    save_qtable(q_shrinker, shrinker_path)
-    save_qtable(q_amplifier, amplifier_path)
-    write_curve(curve, curve_path)
-    _write_run_cfg(out, "train", {"config": cfg.__dict__, "config_digest": cfg.digest()})
     print(f"trained {cfg.episodes} episodes (seed {cfg.seed}, curriculum {cfg.curriculum})")
     print(f"final epsilon = {final_epsilon(cfg)}")
     print(f"unique states: shrinker {len(q_shrinker.entries)}, amplifier {len(q_amplifier.entries)}")
-    for path in (shrinker_path, amplifier_path, curve_path):
-        print(f"wrote {path}")
+    _write_out(args.out, "train", {"config": cfg.__dict__, "config_digest": cfg.digest()}, {
+        "q_shrinker.txt": partial(save_qtable, q_shrinker),
+        "q_amplifier.txt": partial(save_qtable, q_amplifier),
+        "training_curve.csv": partial(write_curve, curve),
+    })
     return 0
 
 
@@ -86,11 +93,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         exact = random_win_prob(opening, exact=True)
         print(f"exact value = {exact}")
     if args.out:
-        out = _ensure_out(args.out)
-        export_path = os.path.join(out, "solved.txt")
-        export_solved(solved, export_path)
-        _write_run_cfg(out, "solve", {"rational": bool(args.rational)})
-        print(f"wrote {export_path}")
+        _write_out(args.out, "solve", {"rational": bool(args.rational)}, {"solved.txt": partial(export_solved, solved)})
     return 0
 
 
@@ -120,25 +123,19 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     from .arena import MatchupSpec, run_matchup, write_stats_csv
     label = args.label or f"{args.p0} vs {args.p1}"
     spec = MatchupSpec(p0=args.p0, p1=args.p1, games=args.games, base_seed=args.seed, label=label)
-    transcript_path = None
-    out = None
-    if args.out:
-        out = _ensure_out(args.out)
-        if args.transcripts:
-            transcript_path = os.path.join(out, "transcripts.jsonl")
-    elif args.transcripts:
+    if args.transcripts and not args.out:
         raise ConfigError("--transcripts needs an output directory (-o)")
-    stats = run_matchup(spec, transcript_path=transcript_path)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    transcript_path = os.path.join(args.out, "transcripts.jsonl") if args.transcripts else None
+    stats = run_matchup(spec, transcript_path=transcript_path)  # streams the transcript as the games are played
     _print_matchup(label, stats)
-    if out:
-        csv_path = os.path.join(out, "stats.csv")
-        write_stats_csv(
-            [(label, Role.SHRINKER, stats), (label, Role.AMPLIFIER, stats)], csv_path
-        )
-        _write_run_cfg(out, "tournament", _options(args, ("p0", "p1", "games", "seed", "transcripts")))
-        print(f"wrote {csv_path}")
+    if args.out:
+        entries = [(label, Role.SHRINKER, stats), (label, Role.AMPLIFIER, stats)]
+        files = {"stats.csv": partial(write_stats_csv, entries)}
         if transcript_path:
-            print(f"wrote {transcript_path}")
+            files["transcripts.jsonl"] = lambda path: None  # written during play
+        _write_out(args.out, "tournament", _options(args, ("p0", "p1", "games", "seed", "transcripts")), files)
     return 0
 
 
@@ -148,15 +145,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     text = report.to_text()
     print(text)
     if args.out:
-        out = _ensure_out(args.out)
-        csv_path = os.path.join(out, "stats.csv")
-        report_path = os.path.join(out, "report.txt")
-        write_stats_csv(report.stats_entries(), csv_path)
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        _write_run_cfg(out, "benchmark", _options(args, ("q_shrinker", "q_amplifier", "games", "seed")))
-        print(f"wrote {csv_path}")
-        print(f"wrote {report_path}")
+        _write_out(args.out, "benchmark", _options(args, ("q_shrinker", "q_amplifier", "games", "seed")), {
+            "stats.csv": partial(write_stats_csv, report.stats_entries()),
+            "report.txt": partial(_write_lines, [text]),
+        })
     return 0
 
 
@@ -172,8 +164,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     while not status.is_terminal:
         role = role_to_move(state)
         if role is human_role:
-            obs = render_observation(state, role)
-            print(obs.as_text(include_rules=not shown_rules))
+            print(render_observation(state, role, include_rules=not shown_rules))
             shown_rules = True
             while True:
                 try:
@@ -237,14 +228,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for tag in ALL_TAGS:
         print(f"  {tag}: {histogram[tag]}")
     if args.out:
-        out = _ensure_out(args.out)
-        path = os.path.join(out, "failures.txt")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            for tag in ALL_TAGS:
-                fh.write(f"{tag}={histogram[tag]}\n")
-        print(f"wrote {path}")
+        counts = [f"{tag}={histogram[tag]}" for tag in ALL_TAGS]
+        files = {"failures.txt": partial(_write_lines, lines + counts)}
+        _write_out(args.out, "classify", _options(args, ("transcript",)), files)
     return 0
 
 

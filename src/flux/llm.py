@@ -2,10 +2,12 @@
 
 A game against a chat model is a conversation.  The first user message
 carries the full rules; every user message shows the board, the running sum,
-the move number, and the reply format.  Whatever comes back is parsed
-generously (first AMPLIFY/DRAIN token with an index, any case); anything that
-does not resolve to a legal move is replaced by a uniformly random legal move
-so a game always finishes, and the substitution is recorded.
+the move number, and the reply format.  ``render_observation`` returns that
+message as plain text, all that a model or a stand-in for one reads.
+Whatever comes back is parsed generously (first AMPLIFY/DRAIN token with an
+index, any case); anything that does not resolve to a legal move is replaced
+by a uniformly random legal move so a game always finishes, and the
+substitution is recorded.
 """
 
 from __future__ import annotations
@@ -43,36 +45,16 @@ INVALID_FORMAT = "format"
 INVALID_OUT_OF_RANGE = "out_of_range"
 
 
-@dataclass(frozen=True)
-class Observation:
-    rules_text: str
-    role_banner: str
-    board_table: str
-    instruction: str
-
-    def as_text(self, include_rules: bool = True) -> str:
-        parts = []
-        if include_rules:
-            parts.append(self.rules_text)
-        parts.append(self.role_banner)
-        parts.append(self.board_table)
-        parts.append(self.instruction)
-        return "\n\n".join(parts)
-
-
-def render_observation(state: GameState, role: Role) -> Observation:
+def render_observation(state: GameState, role: Role, include_rules: bool = True) -> str:
+    """The prompt for ``role`` at ``state``: the rules if asked, the role banner, the board and the reply format."""
     rows = ["index | value"]
     for i, v in enumerate(state.cells):
         rows.append(f"{i} | {v}")
     rows.append(f"sum = {state.total}")
     rows.append(f"move = {state.moves_played + 1} of {MAX_PLIES}")
     banner = f"You are playing as the {role.value.capitalize()} (Player {role.player_index})."
-    return Observation(
-        rules_text=RULES_TEXT,
-        role_banner=banner,
-        board_table="\n".join(rows),
-        instruction=INSTRUCTION,
-    )
+    head = [RULES_TEXT] if include_rules else []
+    return "\n\n".join(head + [banner, "\n".join(rows), INSTRUCTION])
 
 
 @dataclass(frozen=True)
@@ -112,8 +94,7 @@ def llm_agent_step(
     actually said.  The conversation records the applied move, substituted or
     not, so the transcript the model sees matches the game that was played.
     """
-    obs = render_observation(state, role)
-    conversation.append(("user", obs.as_text(include_rules=not conversation)))
+    conversation.append(("user", render_observation(state, role, include_rules=not conversation)))
     transport_failure = False
     try:
         raw = backend.complete(conversation)

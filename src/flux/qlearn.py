@@ -265,19 +265,18 @@ class CurvePoint:
 class Curve(Sequence):
     """The training curve: one flat ``array`` column per ``CurvePoint`` field.
 
-    ``winner`` is stored as its ``player_index``, and a ``CurvePoint`` is
-    built only when it is read, so a point costs a few dozen bytes, not an
-    object with a dict.  Like a list of points, a curve compares equal to
-    any sequence of the same points.
+    ``append`` takes a point's seven field values in field order, ``winner``
+    as its ``player_index``; a ``CurvePoint`` is built only when it is read,
+    so a point costs a few dozen bytes, not an object with a dict.  Like a
+    list of points, a curve compares equal to any sequence of the same points.
     """
 
     def __init__(self) -> None:
         # episode, mode, epsilon, winner's seat, plies (at most 15), states per table
         self.columns = tuple(array(code) for code in "IBdBBII")
 
-    def append(self, point: CurvePoint) -> None:
-        fields = dict(vars(point), winner=point.winner.player_index)
-        for column, value in zip(self.columns, fields.values()):
+    def append(self, *values: int | float) -> None:
+        for column, value in zip(self.columns, values, strict=True):
             column.append(value)
 
     def __len__(self) -> int:
@@ -317,9 +316,8 @@ def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
         mode = mode_for_episode(episode, cfg)
         winner, plies = run_episode(mode, q_shrinker, q_amplifier, episode, cfg, rng)
         if episode % cfg.log_every == 0 or episode == cfg.episodes - 1:
-            point = CurvePoint(episode=episode, mode=mode, epsilon=epsilon_at(episode, cfg), winner=winner, plies=plies,
-                               states_shrinker=len(q_shrinker._seen), states_amplifier=len(q_amplifier._seen))
-            curve.append(point)
+            curve.append(episode, mode, epsilon_at(episode, cfg), winner.player_index, plies,
+                         len(q_shrinker._seen), len(q_amplifier._seen))
     return q_shrinker, q_amplifier, curve
 
 

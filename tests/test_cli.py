@@ -1,6 +1,8 @@
 """End-to-end command-line tests; everything goes through main(argv)."""
 
+import ast
 import csv
+import hashlib
 import io
 import json
 from dataclasses import asdict
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import flux
 from flux.cli import build_parser, main
 from flux.qlearn import CURVE_HEADER, TrainConfig, load_qtable
 from flux.arena import STATS_CSV_HEADER, read_transcripts
@@ -142,6 +145,23 @@ class TestTournament:
         assert out == "" and list(tmp_path.iterdir()) == []
 
 
+def test_only_write_out_writes_run_cfg():
+    # every command's artifacts go through _write_out, so whatever a run writes beside them
+    # (its run.cfg, and any other per-run record) has one place to be written from
+    found = []
+    for path in sorted(Path(flux.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    scopes.setdefault(inner, node.name)  # the outermost function holding the name
+        for node in ast.walk(tree):
+            if "_write_run_cfg" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append((path.name, scopes.get(node)))
+    assert found == [("cli.py", "_write_out")]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -246,6 +266,16 @@ class TestReplayAndClassify:
             assert tag in stdout
         assert (out / "failures.txt").exists()
 
+    def test_classify_writes_a_run_cfg(self, transcripts, tmp_path, capsys):
+        # classify -o used to write failures.txt alone, unlike every other command that writes artifacts
+        out = tmp_path / "c"
+        assert run("classify", transcripts, "-o", out) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["failures.txt", "run.cfg"]
+        cfg = json.loads((out / "run.cfg").read_text())
+        assert cfg.keys() == {"command", "first_mover", "created", "transcript"}
+        assert (cfg["command"], cfg["first_mover"], cfg["transcript"]) == ("classify", "shrinker", str(transcripts))
+        assert capsys.readouterr().out.endswith(f"wrote {out / 'failures.txt'}\n")
+
 
 @pytest.mark.parametrize(
     "argv, encoding",
@@ -316,3 +346,65 @@ class TestPlay:
         out, err = capsys.readouterr()
         assert "cannot play the shrinker" in err and out == ""
         assert run("play", "--as", "shrinker", "--opponent", f"rl:{FIXTURE}") == 0
+
+
+# Small runs of the five commands that write artifacts, in order: benchmark reads
+# train's tables and classify reads tournament's transcripts.  Each pin is the
+# SHA-256 of the run's stdout and of every file it wrote, with the temporary
+# directory shown as <tmp> and run.cfg without its "created" line; taken before
+# the commands shared one writer, so a change to any byte they print or write shows here.
+PINNED_RUNS = {
+    "train": ("train", "--episodes", 300, "--seed", 5, "-o", "{tmp}/train"),
+    "solve": ("solve", "--rational", "-o", "{tmp}/solve"),
+    "tournament": ("tournament", "--p0", "random", "--p1", "heuristic", "--games", 20, "--seed", 4, "--transcripts",
+                   "-o", "{tmp}/tournament"),
+    "benchmark": ("benchmark", "--q-shrinker", "{tmp}/train/q_shrinker.txt", "--q-amplifier",
+                  "{tmp}/train/q_amplifier.txt", "--games", 10, "--seed", 2, "-o", "{tmp}/benchmark"),
+    "classify": ("classify", "{tmp}/tournament/transcripts.jsonl", "-o", "{tmp}/classify"),
+}
+PINNED_BYTES = {
+    "train": {
+        "stdout": "4d55d9c907b7e89e5b35ddb1ae1866ee3d6afa3e635ce4e0bb7e335e81cf235a",
+        "q_amplifier.txt": "592e61c40684a9b4efc475a78ab6c0d852d68c8eb61c339729f044302c065a57",
+        "q_shrinker.txt": "6dd5c25beb371cbe787fb12109c414daf9b60c86ab97d421a6196ff9c7c2596c",
+        "run.cfg": "14e5131a36476d9d809207fc1d1cd17cdce501f45273f3b6b4547c83f5029b27",
+        "training_curve.csv": "2dcb4afd892341a462b503ecbb5bcc1ad99d72e5045b2c9148f6db6029d5e240",
+    },
+    "solve": {
+        "stdout": "06c8fa02c156b8bd6456fb830cb9c50c140fb671467f0649f519f68cd5c0f250",
+        "run.cfg": "e67b4406610a2c2e9a3a9c3ebf1e91bc682e53e4786397c5adb94b97ddf2c5b7",
+        "solved.txt": "c0f2cea6b3ecc7969be53ce7ee2e4a94ba4bcbcd80dca66ed4baed857ed9cc78",
+    },
+    "tournament": {
+        "stdout": "96854f5ec7199834f97fe4ce66e375b32415a2b3a90d93eba5496f06d081791f",
+        "run.cfg": "0c39ce12eb9956759ce1345632bce7f880ab2e32072128bfe6f29ff4c9c6abd3",
+        "stats.csv": "c87162813a4a6d8ebc157da18f5c490c502bde0f4eee06247d6b7b73cb3638eb",
+        "transcripts.jsonl": "b82c81858a33c5b838e435cc43e0a99c7a288a299a982f3b5b681553f936587b",
+    },
+    "benchmark": {
+        "stdout": "95b3155c471afae20571f13565a6dc90b6c20b2c392a8207d5c35369e42ac02a",
+        "report.txt": "ed1c1e3e714cdd0dda75305324057074abb0cc9d3cdfa3559ea961a19729f8ec",
+        "run.cfg": "6da4ecd0841cdad57d958d0f861dd75efba7769e7c1b3117d63a49dde92b81f0",
+        "stats.csv": "3d4652cda351732a8fd0be85a81d012d74cd97eaa6874b9d44fbadce8c94e392",
+    },
+    "classify": {
+        "stdout": "a8a994749e4eea78e2105fe8efa0daad4b6e4bf045466501c88aaf78ecb92b4d",
+        "failures.txt": "f83a219fdbf051edeff9c1caebee499fb822823b729d50efbff84b65c69db066",
+        "run.cfg": "468fb6d9669500ad336d712f46d940b872360d23c2840bde264b448ec845a244",  # the one file added since
+    },
+}
+
+
+def test_artifact_commands_print_and_write_pinned_bytes(tmp_path, capsys):
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+
+    seen = {}
+    for command, argv in PINNED_RUNS.items():
+        assert run(*(str(a).format(tmp=tmp_path) for a in argv)) == 0
+        files = {"stdout": digest(capsys.readouterr().out)}
+        for path in sorted((tmp_path / command).iterdir()):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            files[path.name] = digest("".join(line for line in lines if not line.startswith('  "created": ')))
+        seen[command] = files
+    assert seen == PINNED_BYTES

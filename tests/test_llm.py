@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -18,6 +20,7 @@ from flux.llm import (
     ENDPOINT_ENV,
     INSTRUCTION,
     MODEL_ENV,
+    RULES_TEXT,
     HttpChatBackend,
     LlmAgent,
     ScriptedBackend,
@@ -27,14 +30,15 @@ from flux.llm import (
     render_observation,
 )
 from flux.qlearn import save_qtable
+from flux.solver import reachable_states
 
 from conftest import load_rows
 
 
 class TestRendering:
     def test_board_block(self):
-        obs = render_observation(initial_state(), Role.SHRINKER)
-        assert obs.board_table == (
+        assert render_observation(initial_state(), Role.SHRINKER, include_rules=False) == (
+            "You are playing as the Shrinker (Player 0).\n\n"
             "index | value\n"
             "0 | 2\n"
             "1 | 1\n"
@@ -42,24 +46,54 @@ class TestRendering:
             "3 | 1\n"
             "4 | 2\n"
             "sum = 9\n"
-            "move = 1 of 15"
+            "move = 1 of 15\n\n" + INSTRUCTION
         )
 
     def test_move_counter_and_sum_track_the_state(self):
-        obs = render_observation(GameState((4, 1, 3, 1, 2), 1), Role.AMPLIFIER)
-        assert "sum = 11" in obs.board_table
-        assert "move = 2 of 15" in obs.board_table
-        assert "Amplifier (Player 1)" in obs.role_banner
+        text = render_observation(GameState((4, 1, 3, 1, 2), 1), Role.AMPLIFIER)
+        assert "\nsum = 11\n" in text
+        assert "\nmove = 2 of 15\n" in text
+        assert "\n\nYou are playing as the Amplifier (Player 1).\n\n" in text
 
     def test_rules_only_on_request(self):
-        obs = render_observation(initial_state(), Role.SHRINKER)
-        with_rules = obs.as_text(include_rules=True)
-        bare = obs.as_text(include_rules=False)
-        assert with_rules.startswith("Flux is a two-player game")
+        with_rules = render_observation(initial_state(), Role.SHRINKER)
+        bare = render_observation(initial_state(), Role.SHRINKER, include_rules=False)
+        assert with_rules == RULES_TEXT + "\n\n" + bare
         assert "Flux is" not in bare
         for text in (with_rules, bare):
             assert text.endswith(INSTRUCTION)
             assert "You are playing as the Shrinker (Player 0)." in text
+
+    def test_every_prompt_reads_back_to_its_state_and_role(self):
+        # a chat stand-in that reads only the prompt can recover the game from it: the
+        # "index | value" rows give the cells, "sum = " the total, "move = m of 15" the
+        # move count and the banner the role
+        live = reachable_states().ongoing
+        assert len(live) == 8410
+        for state in live:
+            for role in Role:
+                rules, banner, board, instruction = render_observation(state, role).split("\n\n")
+                assert (rules, instruction) == (RULES_TEXT, INSTRUCTION)
+                name, seat = re.fullmatch(r"You are playing as the (\w+) \(Player (\d)\)\.", banner).groups()
+                header, *rows, total, move = board.split("\n")
+                assert header == "index | value"
+                pairs = [tuple(map(int, re.fullmatch(r"(\d+) \| (\d+)", row).groups())) for row in rows]
+                assert [i for i, _ in pairs] == list(range(len(pairs)))
+                cells = tuple(v for _, v in pairs)
+                assert int(re.fullmatch(r"sum = (\d+)", total).group(1)) == sum(cells)
+                moves = int(re.fullmatch(r"move = (\d+) of 15", move).group(1)) - 1
+                assert (GameState(cells, moves), Role(name.lower()), int(seat)) == (state, role, role.player_index)
+
+    def test_every_prompt_is_pinned(self):
+        # SHA-256 over all 33,640 prompts, each followed by a NUL: every live state, both
+        # roles, with the rules then without; taken when render_observation built an object
+        # that callers turned into text
+        digest = hashlib.sha256()
+        for state in reachable_states().ongoing:
+            for role in Role:
+                for include_rules in (True, False):
+                    digest.update(render_observation(state, role, include_rules=include_rules).encode() + b"\0")
+        assert digest.hexdigest() == "428087c8f9ddbacfde340ffb32862ff953c0249bad752d0134a0d2f10ee1b502"
 
 
 class TestParsing:
