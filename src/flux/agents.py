@@ -105,11 +105,11 @@ class GreedyQAgent(Seat):
 
     def __init__(self, qtable: "QTable") -> None:
         super().__init__()
-        from .qlearn import live_states  # qlearn imports this module
-        self.qtable, self._live = qtable, live_states()
+        from .qlearn import standard_graph  # qlearn imports this module
+        self.qtable, self._graph = qtable, standard_graph()
 
     def code(self, cells, moves):
-        n = self._live.find(cells, moves)
+        n = self._graph.number(self._graph.position(cells, moves))
         held = n >= 0 and self.qtable._index[n] >= 0
         self.last_annotation = None if held else {"fallback": True}
         return self.qtable.best_code(n, 2 * len(cells)) if held else None

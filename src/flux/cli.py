@@ -135,7 +135,8 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         files = {"stats.csv": partial(write_stats_csv, entries)}
         if transcript_path:
             files["transcripts.jsonl"] = lambda path: None  # written during play
-        _write_out(args.out, "tournament", _options(args, ("p0", "p1", "games", "seed", "transcripts")), files)
+        params = {**_options(args, ("p0", "p1", "games", "seed", "transcripts")), "label": label}
+        _write_out(args.out, "tournament", params, files)
     return 0
 
 

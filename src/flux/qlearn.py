@@ -9,26 +9,25 @@ next, so the opponent's reply is folded into the environment.  The rewards are
 fixed constants of the recipe, ``REWARDS``: +1 for a win and -1 for a loss at
 the end of the game, 0 for every step in between; no flag or config field sets them.
 
-Tables index the standard game's 8,410 live states by number (``LiveStates``).  A ``QTable`` keeps
-flat stores: an array from state number to row (-1 for none), each row's state number, ten ``float``
-slots a row (two codes per opening cell; rows never grow) and a bitmask of the updated codes.  An
-episode walks ``game_graph`` by move count and row id, building no state and no key: state keys
-exist only in table files and in the read-only ``entries`` view.  Only ``q_update`` and ``load_qtable`` add rows.
+Tables index the standard game's 8,410 live states by number on its ``GameGraph``, which writes and finds
+their keys too.  A ``QTable`` keeps flat stores: an array from state number to row (-1 for none), each row's
+state number, ten ``float`` slots a row (two codes per opening cell; rows never grow) and a bitmask of the
+updated codes.  An episode walks the graph by move count and row id, building no state and no key: state
+keys exist only in table files and in the read-only ``entries`` view.  Only ``q_update`` and ``load_qtable`` add rows.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from math import isfinite
 
 from .agents import RandomAgent, RandomSource, draw
-from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, ONGOING, GameState, Role, _seat_to_move, initial_state,
-                     state_from_key, status_of)
+from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, GameState, Role, _seat_to_move, initial_state, state_from_key,
+                     status_of)
 from .errors import ConfigError, FormatError, text_lines
 from .solver import game_graph
 
@@ -88,47 +87,8 @@ _ROW = 2 * len(INITIAL_CELLS)  # Q slots per row: two codes per opening cell, as
 _ZERO_ROW = bytes(8 * _ROW)  # a row of 0.0
 
 
-class LiveStates:
-    """The standard game's live states on ``game_graph``, numbered in order of (move count, row id).
-
-    A state's position is ``moves * width + row``, and ``at[n]`` is the position of number ``n``; ``at``
-    is sorted, so bisection finds a position's number.  The graph is kept here: a solve of another root
-    evicts ``game_graph``'s cached copy but forces no rebuild.
-    """
-
-    def __init__(self) -> None:
-        self.ids, self.kids, layers, self.prefixes = game_graph(initial_state())
-        self.rows, self.width = list(self.ids), len(self.ids)  # rows: row id -> cells
-        self.at = array("H", sorted(moves * self.width + row for moves, (layer, statuses) in enumerate(layers)
-                                    for row, status in zip(layer, statuses) if status is ONGOING))
-
-    def number_at(self, pos: int) -> int:
-        """The number of the state at position ``pos``, or -1 if that state is finished or unreached."""
-        n = bisect_left(self.at, pos)
-        return n if n < len(self.at) and self.at[n] == pos else -1
-
-    def find(self, cells: tuple[int, ...], moves: int) -> int:
-        """The number of the live state ``GameState(cells, moves)``, or -1 if it has none."""
-        row = self.ids.get(cells)
-        return -1 if row is None or not 0 <= moves < MAX_PLIES else self.number_at(moves * self.width + row)
-
-    def key(self, n: int) -> str:
-        return self.prefixes[self.at[n] % self.width] + str(self.at[n] // self.width)
-
-    def number(self, key: str) -> int:
-        """The number of the live state whose ``state_key`` is ``key``; any other text is a ``ValueError``."""
-        cells, _, moves = key.partition("|")
-        try:
-            n = self.find(tuple(map(int, cells.split(","))), int(moves))
-        except ValueError:
-            n = -1
-        if n < 0 or self.key(n) != key:  # int() also reads " 1", "+1" and "1_0"
-            finished = status_of(state_from_key(key)).is_terminal  # state_from_key raises on other text
-            raise ValueError(f"{'finished' if finished else 'unreachable'} state {key!r} is never looked up")
-        return n
-
-
-live_states = cache(LiveStates)  # built once per process, by the first table
+# the standard game's graph, which tables index, held once built: solving another root forces no rebuild
+standard_graph = cache(partial(game_graph, initial_state()))
 
 
 class _Rows(Mapping):
@@ -138,12 +98,9 @@ class _Rows(Mapping):
         self._table = table
 
     def __getitem__(self, key: str) -> dict[int, float]:
-        t = self._table
-        try:
-            row = t._index[live_states().number(key)]
-        except (AttributeError, ValueError):  # not a string, or no live state's key
-            row = -1
-        if row < 0:
+        t, graph = self._table, standard_graph()
+        n = graph.number(graph.find(key))  # -1 for anything but a live state's key
+        if n < 0 or (row := t._index[n]) < 0:
             raise KeyError(key)
         return {code: t._q[row * _ROW + code] for code in range(_ROW) if t._seen[row] >> code & 1}
 
@@ -151,7 +108,8 @@ class _Rows(Mapping):
         return len(self._table._seen)
 
     def __iter__(self) -> Iterator[str]:
-        return map(live_states().key, self._table._numbers)
+        graph = standard_graph()
+        return (graph.key(graph.live[n]) for n in self._table._numbers)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Rows):
@@ -169,7 +127,7 @@ class QTable:
 
     def __init__(self, role: Role, *, episodes: int = 0, config_digest: str = ""):
         self.role, self.episodes, self.config_digest = role, episodes, config_digest
-        self._index = array("h", [-1]) * len(live_states().at)
+        self._index = array("h", [-1]) * len(standard_graph().live)
         self._numbers, self._q, self._seen = array("h"), array("d"), array("H")
 
     entries = property(_Rows)  # a view per read: one kept on the table would make a reference cycle
@@ -225,8 +183,8 @@ def run_episode(mode: int, q_shrinker: QTable, q_amplifier: QTable, episode_idx:
     -1 once the game is over.  A learner is epsilon-greedy; any other seat plays its ``code`` through ``draw``.
     """
     seats, tables, eps = _SEATS_BY_MODE[mode], (q_shrinker, q_amplifier), epsilon_at(episode_idx, cfg)
-    live, step = live_states(), REWARDS["reward_step"]
-    kids, number_at, width, rows = live.kids, live.number_at, live.width, live.rows
+    graph, step = standard_graph(), REWARDS["reward_step"]
+    kids, number, width, rows = graph.kids, graph.number, graph.width, graph.rows
     moves = row = n = 0  # the opening: move count 0, row id 0, state number 0
     pending: list[tuple[int, int] | None] = [None, None]  # each seat's last (state number, code)
     while n >= 0:
@@ -241,7 +199,7 @@ def run_episode(mode: int, q_shrinker: QTable, q_amplifier: QTable, episode_idx:
         else:
             code = draw(seat.code(rows[row], moves), len(codes), rng)
         moves, row = moves + 1, codes[code]
-        n = number_at(moves * width + row)
+        n = number(moves * width + row)
     status = status_of(GameState(rows[row], moves))
 
     for role, table, last in zip(_ROLES, tables, pending):
@@ -334,12 +292,12 @@ _HEADERS = ("role", "episodes", "config_digest")  # a table file has each once, 
 
 
 def save_qtable(q: QTable, path: str) -> None:
-    values, masks, live = q._q, q._seen, live_states()
+    values, masks, graph = q._q, q._seen, standard_graph()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#role={q.role.value}\n#episodes={q.episodes}\n#config_digest={q.config_digest}\n")
         # key order without the keys: a prefix holds one "|", at its end, so it sorts before the move count
-        spots = (divmod(live.at[n], live.width) for n in q._numbers)  # (moves, row id) of each table row
-        for prefix, moves, row in sorted((live.prefixes[i], str(m), row) for row, (m, i) in enumerate(spots)):
+        spots = (divmod(graph.live[n], graph.width) for n in q._numbers)  # (moves, row id) of each table row
+        for prefix, moves, row in sorted((graph.prefixes[i], str(m), row) for row, (m, i) in enumerate(spots)):
             seen = masks[row]
             cells = ";".join([f"{c}={values[row * _ROW + c]!r}" for c in range(seen.bit_length()) if seen >> c & 1])
             fh.write(f"{prefix}{moves}\t{cells}\n")
@@ -367,19 +325,22 @@ def load_qtable(path: str) -> QTable:
             if missing := [name for name in _HEADERS if name not in headers]:
                 raise FormatError(f"{path}: line {i}: missing #{missing[0]}= header")
             q = QTable(headers["role"], episodes=int(headers["episodes"]), config_digest=headers["config_digest"])
-            index, values, live = q._index, q._q, live_states()
+            index, values, graph = q._index, q._q, standard_graph()
         if not line:
             continue
         key, sep, cells = line.partition("\t")
         if not sep or not cells:
             raise FormatError(f"{path}: line {i}: expected '<state>\\t<code>=<value>;...'")
         try:
-            n = live.number(key)  # a row under any other key would never be looked up
+            n = graph.number(graph.find(key))  # a row under any key but a live state's would never be looked up
+            if n < 0:
+                finished = status_of(state_from_key(key)).is_terminal  # state_from_key raises on other text
+                raise ValueError(f"{'finished' if finished else 'unreachable'} state {key!r} is never looked up")
             if index[n] >= 0:
                 raise ValueError(f"repeated state key {key!r}")
             if "_" in cells or " " in cells or not cells.isprintable():  # int() and float() read "1_0" and " 1"
                 raise ValueError(f"underscore or whitespace in {cells!r}, which save_qtable never writes")
-            row, n_codes, seen = q._row(n), len(live.kids[live.at[n] % live.width]), 0
+            row, n_codes, seen = q._row(n), len(graph.kids[graph.live[n] % graph.width]), 0
             for item in cells.split(";"):
                 code_s, sep2, value_s = item.partition("=")
                 if not sep2:

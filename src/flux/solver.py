@@ -3,30 +3,29 @@
 A state's children depend only on its row, and so does its status below the
 ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
 each live row is stepped once, through the unchecked step ``apply`` shares,
-and ``status_of`` runs once per row and once per state at the limit.  Layers,
-one per move count (at most 15 from any root), list the rows they hold.
-``game_graph`` builds the graph once per root and keeps the last one; every
-exact question reads it and none changes it.  ``reachable_states`` keeps one
-array of positions (move count and row id) per kind of state and builds a
-``GameState`` only when one is read.  A backward pass (retrograde analysis)
-gives each state one signed integer score, read as the winner under best play
-and ``depth``, the plies to the end when the winner hurries and the loser
-stalls.  ``SolvedGame`` keeps those scores, one byte per row and layer, with
-the graph they index, and answers ``winner()`` from them.  The same pass, with
-the mean of the children in place of the mover's best, gives the Shrinker's
-win probability under uniform random play, also by layer and row id, each
-layer one past its highest row id wide: as floats in one ``array('d')`` a
-layer, NaN where a row is not in it, or exactly, as integers over one common
-denominator that a read turns into a ``Fraction``.  The string-keyed tables,
-``value``, ``depth`` and ``random_win_table``, are read-only views over those
-values that parse each key they are asked for; ``export_solved`` writes from
-the scores.
+and ``status_of`` runs once per row and once per state at the limit.
+``game_graph`` builds a root's ``GameGraph``, one layer of rows per move count,
+and keeps the last one; every exact question reads it and none changes it.  It
+is the one index of the root's states: a state's position (move count and row
+id), the numbers of the live ones, and every state key, written and found.
+``reachable_states`` keeps arrays of positions and builds a ``GameState`` only
+when one is read.  A backward pass (retrograde analysis) gives each state one
+signed score, read as the winner under best play and ``depth``, the plies to
+the end when the winner hurries and the loser stalls; ``SolvedGame`` keeps the
+scores, one byte per row and layer.  The same pass, with the mean of the
+children in place of the mover's best, gives the Shrinker's win probability
+under uniform random play, by layer and row id too: floats, NaN where a layer
+lacks a row, or integers over one common denominator that a read turns into a
+``Fraction``.  The string-keyed tables, ``value``, ``depth`` and
+``random_win_table``, are read-only views over those values that find each key
+on the graph; ``export_solved`` writes from the scores.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -48,9 +47,7 @@ from .engine import (
     _row_actions,
     _seat_to_move,
     _step,
-    encode_action,
     initial_state,
-    state_from_key,
     state_key,
     status_of,
 )
@@ -61,24 +58,65 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
-_Graph = tuple[dict[tuple[int, ...], int], dict[int, list[int]], list[_Layer], list[str]]
 _ENDS = tuple(TerminalStatus)  # a finished state's status in Reachable, by its index here
 
 
-@lru_cache(maxsize=1)
-def game_graph(root: GameState) -> _Graph:
-    """The row graph from ``root``: ``(ids, kids, layers, prefixes)``.  Read it; never change it.
+@dataclass(repr=False)
+class GameGraph:
+    """The row graph from ``root``, and the one index of its states and keys.  Read it; never change it.
 
-    ``ids`` maps each row's cells to its row id, in order of discovery.
-    ``kids[i]`` lists the ids of row ``i``'s children, one per legal action in
-    encoded-action order; it is built through ``_step`` once, the first time
-    the row is live.  Layer ``d`` is ``(ids, statuses)``: the distinct rows at
-    move count ``root.moves_played + d`` in order of discovery, and each
-    state's status, its row's below the ply limit.  The next layer is the
-    children of the live rows, first seen first.  ``prefixes[i]`` is the key
-    of row ``i`` up to its move count, so ``prefixes[i] + str(moves)`` is
-    ``state_key`` of that state.
+    ``ids`` maps each row's cells to its row id, in order of discovery; ``rows`` lists the cells by id.
+    ``kids[i]`` lists row ``i``'s children, one per legal action in encoded-action order, stepped once,
+    the first time the row is live.  Layer ``d`` is ``(ids, statuses)``: the distinct rows at move count
+    ``root.moves_played + d`` in order of discovery, the children of the live rows above, and each state's
+    status.  ``prefixes[i]`` is row ``i``'s key up to its move count.  A state's position is
+    ``moves * width + row``; ``live`` holds the live states' positions ascending, and a number indexes it.
     """
+
+    root: GameState
+    ids: dict[tuple[int, ...], int]
+    rows: list[tuple[int, ...]]
+    kids: dict[int, list[int]]
+    layers: list[_Layer]
+    prefixes: list[str]
+    width: int  # the number of rows
+    live: array
+
+    def position(self, cells: tuple[int, ...], moves: int) -> int:
+        """The position of ``GameState(cells, moves)``, or -1 if its row or move count is off the graph."""
+        row = self.ids.get(cells)
+        on = row is not None and 0 <= moves - self.root.moves_played < len(self.layers)
+        return moves * self.width + row if on else -1
+
+    def number(self, pos: int) -> int:
+        """The number of the live state at position ``pos``, or -1 if no live state is there."""
+        n = bisect_left(self.live, pos)
+        return n if n < len(self.live) and self.live[n] == pos else -1
+
+    def key(self, pos: int) -> str:
+        """The ``state_key`` of the state at position ``pos``."""
+        moves, row = divmod(pos, self.width)
+        return self.prefixes[row] + str(moves)
+
+    def find(self, key: object) -> int:
+        """The position whose key is ``key``, or -1: any text but the key this graph writes misses."""
+        try:
+            cells, _, moves = key.partition("|")
+            pos = self.position(tuple(map(int, cells.split(","))), int(moves))
+        except (AttributeError, TypeError, ValueError):  # not a string, or not numbers
+            return -1
+        return pos if pos >= 0 and self.key(pos) == key else -1  # int() also reads " 1", "+1", "1_0" and "-0"
+
+    def at(self, values: list, pos: int) -> object:
+        """``values``' entry for position ``pos``, by layer from the root and row id; None for -1 or past a layer."""
+        moves, row = divmod(pos, self.width)
+        layer = values[moves - self.root.moves_played] if pos >= 0 else ()
+        return layer[row] if row < len(layer) else None
+
+
+@lru_cache(maxsize=1)
+def game_graph(root: GameState) -> GameGraph:
+    """The ``GameGraph`` from ``root``, built once and kept until another root's is asked for."""
     ids, rows = {root.cells: 0}, []  # cells -> row id in order of discovery, and row id -> cells
     kids: dict[int, list[int]] = {}
     row_statuses: list[TerminalStatus] = []
@@ -102,7 +140,10 @@ def game_graph(root: GameState) -> _Graph:
         moves += 1
     # a row's key prefix comes from state_key once; each state appends its move count
     prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
-    return ids, kids, layers, prefixes
+    positions = array("I")  # layers run by move count, so sorting each layer's live positions sorts them all
+    for moves, (layer, statuses) in enumerate(layers, root.moves_played):
+        positions.extend(sorted(moves * len(rows) + i for i, status in zip(layer, statuses) if status is ONGOING))
+    return GameGraph(root, ids, rows, kids, layers, prefixes, len(rows), positions)
 
 
 class _States(Sequence):
@@ -124,13 +165,14 @@ class Reachable:
     """Every state legal moves reach from a root; it keeps the parts of the root's graph it reads."""
 
     def __init__(self, root: GameState) -> None:
-        ids, _, layers, self._prefixes = game_graph(root)
-        rows, width, live, done = list(ids), len(ids), array("I"), array("I")  # rows: row id -> cells
+        graph = game_graph(root)
+        rows, width, layers, live, done = graph.rows, graph.width, graph.layers, array("I"), array("I")
         for moves, (layer, statuses) in enumerate(layers, root.moves_played):
             for i, status in zip(layer, statuses):
                 (live if status is ONGOING else done).append(moves * width + i)
         ends = array("B", (_ENDS.index(s) for _, statuses in layers for s in statuses if s is not ONGOING))
         self.ongoing, self.terminal = _States(rows, width, live), _States(rows, width, done, ends)
+        self._prefixes = graph.prefixes
 
     def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
         spots = (divmod(pos, self.ongoing._width) for pos in self.ongoing._at)
@@ -146,7 +188,7 @@ def reachable_states(root: GameState | None = None) -> Reachable:
 @dataclass
 class SolvedGame:
     root: GameState
-    graph: _Graph = field(repr=False, compare=False)  # game_graph(root), which the scores index
+    graph: GameGraph = field(repr=False, compare=False)  # game_graph(root), which the scores index
     # scores[d][i]: row i's score at move count root.moves_played + d, or 0 if no such
     # state is reachable; horizon - depth if the Shrinker wins, depth - horizon if not
     scores: list[array]
@@ -155,11 +197,11 @@ class SolvedGame:
 
     def winner(self, state: GameState) -> Role | None:
         """The winner under optimal play, or None if ``state`` is not reachable from the root."""
-        return _winner(_at(self.graph, self.root.moves_played, self.scores, state))
+        return _winner(self.graph.at(self.scores, self.graph.position(state.cells, state.moves_played)))
 
-    value = property(lambda self: _Table(self.graph, self.root.moves_played, self.scores, _winner),
+    value = property(lambda self: _Table(self.graph, self.scores, _winner),
                      doc="winner under optimal play, terminal states included")
-    depth = property(lambda self: _Table(self.graph, self.root.moves_played, self.scores, self._depth),
+    depth = property(lambda self: _Table(self.graph, self.scores, self._depth),
                      doc="plies to the end: winner minimises, loser maximises")
 
     def _depth(self, score: int | None) -> int | None:
@@ -170,50 +212,39 @@ def _winner(score: int | None) -> Role | None:
     return None if not score else _SHRINKER if score > 0 else _AMPLIFIER
 
 
-def _at(graph: _Graph, moves: int, values: list, state: GameState) -> object:
-    """``state``'s entry in ``values``, by layer from move count ``moves`` and row id; None off the graph or a layer."""
-    i, d = graph[0].get(state.cells), state.moves_played - moves
-    return values[d][i] if i is not None and 0 <= d < len(values) and i < len(values[d]) else None
-
-
 class _Table(Mapping):
-    """A read-only view of values kept by layer and row id, by canonical state key; a lookup parses its key."""
+    """A read-only view of values kept by layer and row id, by canonical state key, each found by ``GameGraph.find``."""
 
-    def __init__(self, graph: _Graph, moves: int, values: list, decode: Callable) -> None:
-        self._graph, self._moves, self._values, self._decode = graph, moves, values, decode
+    def __init__(self, graph: GameGraph, values: list, decode: Callable) -> None:
+        self._graph, self._values, self._decode = graph, values, decode
 
     def __getitem__(self, key: object) -> object:
-        try:
-            state = state_from_key(key)  # strict, so a state found here has exactly this key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
         # decode gives None off the graph and where the row is not in the layer (score 0, NaN or None)
-        value = self._decode(_at(self._graph, self._moves, self._values, state))
+        value = self._decode(self._graph.at(self._values, self._graph.find(key)))
         if value is None:
             raise KeyError(key)
         return value
 
     def __iter__(self) -> Iterator[str]:  # the deepest layer first, the backward pass's order
-        _, _, layers, prefixes = self._graph
-        for d in reversed(range(len(layers))):
-            suffix = str(self._moves + d)
-            yield from (prefixes[i] + suffix for i in layers[d][0])
+        graph = self._graph
+        for d in reversed(range(len(graph.layers))):
+            suffix = str(graph.root.moves_played + d)
+            yield from (graph.prefixes[i] + suffix for i in graph.layers[d][0])
 
     def __len__(self) -> int:
-        return sum(len(layer) for layer, _ in self._graph[2])
+        return sum(len(layer) for layer, _ in self._graph.layers)
 
 
-def _backward(graph: _Graph, moves: int, ends: tuple, node: Callable, new: Callable) -> list:
+def _backward(graph: GameGraph, ends: tuple, node: Callable, new: Callable) -> list:
     """One value per state of ``graph``: a fresh ``new(width)`` per layer, root first, by row id.
 
     ``width`` is one past the layer's highest row id, so a layer's values fit in it; slots of
-    rows the layer lacks keep what ``new`` put there.  ``moves`` is the root's move count.  A
-    finished state is worth ``ends[0]`` if the Shrinker won, else ``ends[1]``; a live one,
-    ``node(seat to move, [its children's values in encoded-action order])``.
+    rows the layer lacks keep what ``new`` put there.  A finished state is worth ``ends[0]`` if
+    the Shrinker won, else ``ends[1]``; a live one, ``node(seat to move, [its children's values
+    in encoded-action order])``.
     """
-    _, kids, layers, _ = graph
-    values, below = [], None
-    for played, (layer, statuses) in reversed([*enumerate(layers, moves)]):
+    kids, values, below = graph.kids, [], None
+    for played, (layer, statuses) in reversed([*enumerate(graph.layers, graph.root.moves_played)]):
         seat, here = _seat_to_move(played), new(max(layer) + 1)
         for i, status in zip(layer, statuses):
             if status is ONGOING:
@@ -235,13 +266,13 @@ def solve(root: GameState | None = None) -> SolvedGame:
     root = root if root is not None else initial_state()
     if status_of(root) is not ONGOING:
         raise StateError("root state is already decided")
-    ids, _, layers, _ = graph = game_graph(root)
+    graph = game_graph(root)
     # one score per state, in full-width layers as export_solved reads every row id of each: from the Shrinker's
     # side, horizon - depth if it wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no 0
-    horizon = len(layers)
-    scores = _backward(graph, root.moves_played, (horizon, -horizon), _best, lambda _: array("b", bytes(len(ids))))
+    horizon = len(graph.layers)
+    scores = _backward(graph, (horizon, -horizon), _best, lambda _: array("b", bytes(graph.width)))
     counts = [0, 0]  # live states by the mover's seat, found by identity: count() would run __eq__ on the rest
-    for moves, (_, statuses) in enumerate(layers, root.moves_played):
+    for moves, (_, statuses) in enumerate(graph.layers, root.moves_played):
         counts[_seat_to_move(moves)] += [status is ONGOING for status in statuses].count(True)
     return SolvedGame(root, graph, scores, *counts)
 
@@ -253,15 +284,21 @@ def optimal_policy(solved: SolvedGame, state: GameState) -> Action:
     """
     if status_of(state).is_terminal:
         raise StateError("no move to pick in a finished game")
-    if solved.winner(state) is None:
-        raise StateError(f"state {state_key(state)!r} was never solved (unreachable from the root)")
-    ids, kids, _, _ = solved.graph
-    below = solved.scores[state.moves_played - solved.root.moves_played + 1]
+    return _row_actions(len(state.cells))[_optimal_code(solved, state.cells, state.moves_played)]
+
+
+def _optimal_code(solved: SolvedGame, cells: tuple[int, ...], moves: int) -> int:
+    """``optimal_policy``'s action code at the live state ``GameState(cells, moves)``, read from the scores."""
+    graph = solved.graph
+    pos = graph.position(cells, moves)
+    if not graph.at(solved.scores, pos):  # 0 where the layer lacks the row, None off the graph
+        raise StateError(f"state {state_key(GameState(cells, moves))!r} was never solved (unreachable from the root)")
+    below = solved.scores[moves - graph.root.moves_played + 1]
     # a solved state's children, terminal or not, are solved one layer down; a higher
     # score is a Shrinker win, a faster one, or a slower loss; index finds the lowest code
-    scores = [below[kid] for kid in kids[ids[state.cells]]]
-    best = min(scores) if _seat_to_move(state.moves_played) else max(scores)  # the game is live
-    return _row_actions(len(state.cells))[scores.index(best)]
+    scores = [below[kid] for kid in graph.kids[pos % graph.width]]
+    best = min(scores) if _seat_to_move(moves) else max(scores)
+    return scores.index(best)
 
 
 def _random_play(root: GameState, exact: bool) -> tuple[list, Callable]:
@@ -272,22 +309,21 @@ def _random_play(root: GameState, exact: bool) -> tuple[list, Callable]:
     of moves: ``D`` times a probability ``d`` layers down is a multiple of ``L ** d``, so every mean
     divides exactly, and the pass makes no ``Fraction`` and no gcd.
     """
-    _, kids, layers, _ = graph = game_graph(root)
+    graph = game_graph(root)
     if not exact:  # one by one in encoded-action order; sum() rounds differently on 3.12+
-        values = _backward(graph, root.moves_played, (1.0, 0.0), lambda _, outs: reduce(add, outs, 0.0) / len(outs),
+        values = _backward(graph, (1.0, 0.0), lambda _, outs: reduce(add, outs, 0.0) / len(outs),
                            lambda n: array("d", [math.nan]) * n)
         return values, lambda p: p if p == p else None  # None off the graph; NaN, an empty slot, is not == NaN
     from fractions import Fraction  # only an exact table loads it
-    denom = math.lcm(*map(len, kids.values())) ** (len(layers) - 1)  # D
-    values = _backward(graph, root.moves_played, (denom, 0), lambda _, outs: sum(outs) // len(outs),
-                       lambda n: [None] * n)
+    denom = math.lcm(*map(len, graph.kids.values())) ** (len(graph.layers) - 1)  # D
+    values = _backward(graph, (denom, 0), lambda _, outs: sum(outs) // len(outs), lambda n: [None] * n)
     return values, lambda n: None if n is None else Fraction(n, denom)
 
 
 def random_win_table(root: GameState | None = None, exact: bool = False) -> Mapping[str, float | Fraction]:
     """Shrinker win probability at every reachable state when both sides play uniformly."""
     root = root if root is not None else initial_state()
-    return _Table(game_graph(root), root.moves_played, *_random_play(root, exact))
+    return _Table(game_graph(root), *_random_play(root, exact))
 
 
 def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
@@ -297,7 +333,7 @@ def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
 
 def export_solved(solved: SolvedGame, path: str) -> None:
     """One line per solved state, in key order: winner and plies-to-end under best play."""
-    prefixes, scores = solved.graph[3], solved.scores
+    prefixes, scores = solved.graph.prefixes, solved.scores
     moves = [str(solved.root.moves_played + d) for d in range(len(scores))]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#kind=solved\n#root={state_key(solved.root)}\n")
@@ -321,4 +357,4 @@ class OptimalAgent(Seat):
         self.solved = solved if solved is not None else default_solved()
 
     def code(self, cells, moves):
-        return encode_action(optimal_policy(self.solved, GameState(cells, moves)))
+        return _optimal_code(self.solved, cells, moves)

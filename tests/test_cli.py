@@ -103,6 +103,8 @@ class TestTournament:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [9, 9, 9]
         assert [row[0] for row in rows[1:]] == [label or f"{p0} vs random"] * 2
+        # run.cfg gives the label every row starts with, the default one too
+        assert json.loads((tmp_path / "t" / "run.cfg").read_text(encoding="utf-8"))["label"] == rows[1][0]
 
     def test_outcomes_print_in_reason_order(self, capsys):
         # the first game ends by sum_exceeded_20, but the line lists reasons sorted
@@ -377,7 +379,7 @@ PINNED_BYTES = {
     },
     "tournament": {
         "stdout": "96854f5ec7199834f97fe4ce66e375b32415a2b3a90d93eba5496f06d081791f",
-        "run.cfg": "0c39ce12eb9956759ce1345632bce7f880ab2e32072128bfe6f29ff4c9c6abd3",
+        "run.cfg": "5b4cb9d61a71ae9e7e4c70bcdee823db3ec4bb094eaef30d84300f18256e14d5",  # retaken when it gained "label"
         "stats.csv": "c87162813a4a6d8ebc157da18f5c490c502bde0f4eee06247d6b7b73cb3638eb",
         "transcripts.jsonl": "b82c81858a33c5b838e435cc43e0a99c7a288a299a982f3b5b681553f936587b",
     },

@@ -29,11 +29,11 @@ from flux.qlearn import (
     TrainConfig,
     epsilon_at,
     final_epsilon,
-    live_states,
     load_qtable,
     mode_for_episode,
     q_update,
     save_qtable,
+    standard_graph,
     train,
     write_curve,
 )
@@ -47,7 +47,8 @@ OPENING, CHILD, PAIR = "2,1,3,1,2|0", "4,1,3,1,2|1", "2,2|4"
 
 
 def number(key):
-    return live_states().number(key)
+    graph = standard_graph()
+    return graph.number(graph.find(key))
 
 
 class TestConfig:
@@ -175,13 +176,13 @@ class TestQTable:
         # legal ones: gaps, ties, negative values and -0.0, stored in random order;
         # an absent code is worth 0.0, and 0.0 ties -0.0
         rng = random.Random(5)
-        live = live_states()
+        graph = standard_graph()
         rows = {}
         for n in range(2000):
-            n_codes = len(live.kids[live.at[n] % live.width])
+            n_codes = len(graph.kids[graph.live[n] % graph.width])
             codes = rng.sample(range(n_codes), rng.randint(1, n_codes))
             rows[n] = n_codes, {code: rng.choice((0.5, 0.25, 0.0, -0.0, -0.25, -0.5)) for code in codes}
-        q = load_rows(Role.SHRINKER, {live.key(n): row for n, (_, row) in rows.items()})
+        q = load_rows(Role.SHRINKER, {graph.key(graph.live[n]): row for n, (_, row) in rows.items()})
         for n, (n_codes, row) in rows.items():
             expected = max(range(n_codes), key=lambda c: (row.get(c, 0.0), -c))
             assert q.best_code(n, n_codes) == expected, row

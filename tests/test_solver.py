@@ -6,16 +6,19 @@ by Monte Carlo and by an independent reimplementation during development, and
 are frozen here as regression anchors.
 """
 
+import ast
 import gc
 import hashlib
 import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
+from pathlib import Path
 
 import pytest
 
+import flux
 import flux.engine
 import flux.solver
 from flux.agents import RandomAgent
@@ -36,6 +39,7 @@ from flux.engine import (
     status_of,
 )
 from flux.errors import StateError
+from flux.qlearn import standard_graph
 from flux.solver import (
     OptimalAgent,
     default_solved,
@@ -47,6 +51,8 @@ from flux.solver import (
     reachable_states,
     solve,
 )
+
+from conftest import load_rows
 
 RANDOM_PLAY_SHRINKER_WIN = 0.29231361218346746
 SOLVED_TXT_SHA256 = "c0f2cea6b3ecc7969be53ce7ee2e4a94ba4bcbcd80dca66ed4baed857ed9cc78"
@@ -157,9 +163,9 @@ def test_every_graph_edge_matches_the_checked_apply():
     # every edge of every live state must be what the public, checked apply
     # gives for that action, at that state's own move count
     states = edges = 0
-    ids, kids, layers, prefixes = game_graph(initial_state())
-    rows = list(ids)
-    assert [ids[row] for row in rows] == list(range(len(rows)))
+    graph = game_graph(initial_state())
+    ids, rows, kids, layers, prefixes = graph.ids, graph.rows, graph.kids, graph.layers, graph.prefixes
+    assert rows == list(ids) and [ids[row] for row in rows] == list(range(len(rows)))
     assert prefixes == [state_key(GameState(row, 0))[:-1] for row in rows]
     for moves, ((layer, statuses), (below, below_statuses)) in enumerate(pairwise([*layers, ([], [])])):
         assert len(set(layer)) == len(layer)  # a layer holds each row once
@@ -256,6 +262,83 @@ def test_graph_classifies_each_row_once_below_the_ply_limit(monkeypatch):
     assert len(reach.ongoing) + len(reach.terminal) == 16613
     assert sum(s.moves_played == MAX_PLIES for s, _ in reach.terminal) == 1685
     assert calls == 3333 + 1685
+
+
+ROOTS = pytest.mark.parametrize("root", [initial_state(), SUB_ROOT, SEVEN_CELLS], ids=["standard", "sub", "seven"])
+
+
+@ROOTS
+def test_every_root_numbers_its_live_states(root):
+    # the numbering is the graph's, for any root: its positions are the root's live
+    # states, ascending, and every state's key finds its position and is written back
+    graph, reach = game_graph(root), reachable_states(root)
+    live = [graph.position(s.cells, s.moves_played) for s in reach.ongoing]
+    assert list(graph.live) == sorted(live) and len(set(live)) == len(live)
+    assert [graph.number(pos) for pos in graph.live] == list(range(len(live)))
+    for state in chain(reach.ongoing, (s for s, _ in reach.terminal)):
+        key, pos = state_key(state), graph.position(state.cells, state.moves_played)
+        assert graph.find(key) == pos >= 0 and graph.key(pos) == key
+        assert (graph.number(pos) >= 0) is (status_of(state) is TerminalStatus.ONGOING)
+
+
+def _spellings(key: str) -> dict[str, object]:
+    """Keys that are not ``key``, most of which ``int()`` reads as ``key``'s numbers, by what they change."""
+    cells, _, moves = key.partition("|")
+    return {
+        "+1": "+" + key,
+        "01": "0" + key,
+        " 1": " " + key,
+        "1_0": f"{cells}|{moves[:-1]}_{moves[-1]}",
+        "-0": f"{cells}|-{moves}",  # the opening's move count reads as 0
+        "negative cell": "-" + key,
+        "non-ASCII digit": chr(ord("\u0660") + int(key[0])) + key[1:],  # the first digit in Arabic-Indic
+        "non-string": key.encode(),
+    }
+
+
+@ROOTS
+def test_other_spellings_of_a_key_miss_in_every_table(root):
+    # solved.value, the exact random-play table and QTable.entries all look a key up
+    # through the graph's one find, so each misses the same spellings of a key it holds
+    graph = game_graph(root)
+    keys = [state_key(root), graph.key(next(pos for pos in graph.live if pos // graph.width >= 10))]
+    views = {key: [solve(root).value, random_win_table(root, exact=True)] for key in keys}
+    standard = standard_graph()
+    held = [key for key in keys if standard.number(standard.find(key)) >= 0]  # the seven-cell root's are not
+    entries = load_rows(Role.SHRINKER, {key: {0: 0.5} for key in held}).entries
+    for key in held:
+        views[key].append(entries)
+    for key, tables in views.items():
+        assert all(key in table for table in tables)
+        for name, text in _spellings(key).items():
+            for table in tables:
+                assert text not in table, (key, name)
+                with pytest.raises(KeyError):
+                    table[text]
+
+
+def test_one_module_numbers_and_parses_state_keys():
+    # the state index is the graph's: only the solver bisects, and only the
+    # engine's parser and the graph's one lookup split text on "|"
+    bisects, splits = [], []
+    for path in sorted(Path(flux.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    scopes.setdefault(inner, node.name)  # the outermost function holding the call
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(alias.name == "bisect" for alias in node.names):
+                bisects.append(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "bisect":
+                bisects.append(path.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("partition", "rpartition", "split", "rsplit", "index", "find")
+                    and any(isinstance(arg, ast.Constant) and arg.value == "|" for arg in node.args)):
+                splits.append((path.name, scopes.get(node)))
+    assert bisects == ["solver.py"]
+    assert sorted(splits) == [("engine.py", "state_from_key"), ("solver.py", "find")]
 
 
 def test_solve_agrees_with_a_plain_minimax(solved):
@@ -565,18 +648,17 @@ def _fraction_reference(root: GameState) -> dict[str, Fraction]:
             lcd = math.lcm(lcd, q.denominator)
         return Fraction(sum(q.numerator * (lcd // q.denominator) for q in outcomes), lcd * len(outcomes))
 
-    _, _, layers, prefixes = graph = game_graph(root)
-    values = flux.solver._backward(graph, root.moves_played, (Fraction(1), Fraction(0)), node, lambda n: [None] * n)
-    return {prefixes[i] + str(root.moves_played + d): values[d][i]
-            for d, (layer, _) in enumerate(layers) for i in layer}
+    graph = game_graph(root)
+    values = flux.solver._backward(graph, (Fraction(1), Fraction(0)), node, lambda n: [None] * n)
+    return {graph.prefixes[i] + str(root.moves_played + d): values[d][i]
+            for d, (layer, _) in enumerate(graph.layers) for i in layer}
 
 
 def test_exact_integers_agree_with_fraction_arithmetic():
     # the exact pass keeps integers over one common denominator and divides each
     # sum of children exactly; every state must read as the Fraction pass gives it
-    _, kids, _, _ = game_graph(SEVEN_CELLS)
     assert status_of(SEVEN_CELLS) is TerminalStatus.ONGOING
-    assert math.lcm(*map(len, kids.values())) == 840
+    assert math.lcm(*map(len, game_graph(SEVEN_CELLS).kids.values())) == 840
     for root in [initial_state(), *_sub_game_roots(), SEVEN_CELLS]:
         table = random_win_table(root, exact=True)
         assert table == _fraction_reference(root), state_key(root)
@@ -589,8 +671,9 @@ def test_no_empty_slot_reads_as_a_value():
     # each view keeps its values by layer and row id, with a marker where a layer
     # lacks a row (a score of 0, NaN among floats, None among exact values), and a
     # random-play layer ends after its highest row id: none of these reads as a value
-    ids, _, layers, _ = game_graph(initial_state())
-    rows, widths = list(ids), [max(layer) + 1 for layer, _ in layers]
+    graph = game_graph(initial_state())
+    rows, layers = graph.rows, graph.layers
+    widths = [max(layer) + 1 for layer, _ in layers]
     assert sum(widths) == 31513
     holes = [GameState(rows[min(set(range(w)) - set(layer))], d)
              for d, ((layer, _), w) in enumerate(zip(layers, widths)) if len(layer) < w]
