@@ -14,18 +14,20 @@ Exit codes: 0 success, 1 replay verification mismatch, 2 usage or config error.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import fields
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .agents import RandomSource
 from .engine import Role, apply, initial_state, role_to_move, state_key, status_of
 from .errors import ConfigError, FormatError
 from .qlearn import CURRICULA, TrainConfig, final_epsilon, save_qtable, train, write_curve
 from .solver import default_solved, export_solved, random_win_prob
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _write_run_cfg(out_dir: str, command: str, params: dict) -> None:
@@ -65,12 +67,12 @@ def _options(args: argparse.Namespace, names: Iterable[str]) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = TrainConfig(**_options(args, (f.name for f in fields(TrainConfig))))
+    cfg = TrainConfig(**_options(args, TrainConfig._fields))
     q_shrinker, q_amplifier, curve = train(cfg)
     print(f"trained {cfg.episodes} episodes (seed {cfg.seed}, curriculum {cfg.curriculum})")
     print(f"final epsilon = {final_epsilon(cfg)}")
     print(f"unique states: shrinker {len(q_shrinker.entries)}, amplifier {len(q_amplifier.entries)}")
-    _write_out(args.out, "train", {"config": cfg.__dict__, "config_digest": cfg.digest()}, {
+    _write_out(args.out, "train", {"config": cfg._asdict(), "config_digest": cfg.digest()}, {
         "q_shrinker.txt": partial(save_qtable, q_shrinker),
         "q_amplifier.txt": partial(save_qtable, q_amplifier),
         "training_curve.csv": partial(write_curve, curve),
@@ -236,13 +238,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a command line is parsed with it, not a set-up
     parser = argparse.ArgumentParser(prog="flux", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train both Q-tables and write them out")
-    for f in fields(TrainConfig):  # one flag per config field, with the field's default and its type
-        choices = CURRICULA if f.name == "curriculum" else None
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default, choices=choices)
+    for name, default in TrainConfig._field_defaults.items():  # one flag per config field, its default and type
+        choices = CURRICULA if name == "curriculum" else None
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default, choices=choices)
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 

@@ -15,9 +15,9 @@ engine object and no randomness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .errors import StateError
 
@@ -52,6 +52,7 @@ class Op(Enum):
 _SHRINKER, _AMPLIFIER = Role.SHRINKER, Role.AMPLIFIER
 _ROLES = (_SHRINKER, _AMPLIFIER)  # by player_index
 _AMPLIFY, _DRAIN = Op.AMPLIFY, Op.DRAIN
+_OPS = (_AMPLIFY, _DRAIN)  # by action code % 2
 
 
 class Reason(Enum):
@@ -88,8 +89,7 @@ ONGOING, _SUM_EXCEEDED, _SINGLE_CELL = TerminalStatus.ONGOING, TerminalStatus.SU
 _TIEBREAK_FEW, _TIEBREAK_MANY = TerminalStatus.TIEBREAK_FEWER_THAN_3, TerminalStatus.TIEBREAK_AT_LEAST_3
 
 
-@dataclass(frozen=True, slots=True)
-class GameState:
+class GameState(NamedTuple):
     """A position: the row of cells and how many moves have been played.
 
     ``cells`` must be a tuple of ints; the engine stores it as given and does
@@ -107,8 +107,7 @@ class GameState:
         return sum(self.cells)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     index: int
     op: Op
 
@@ -149,7 +148,7 @@ def role_to_move(state: GameState) -> Role:
 @cache  # rows never grow, so play fills one entry per length up to len(INITIAL_CELLS)
 def _row_actions(row_len: int) -> tuple[Action, ...]:
     """Every action on a row of ``row_len`` cells, indexed by encoded code."""
-    return tuple(Action(i, op) for i in range(row_len) for op in (Op.AMPLIFY, Op.DRAIN))
+    return tuple(Action(i, op) for i in range(row_len) for op in _OPS)
 
 
 def legal_actions(state: GameState) -> list[Action]:
@@ -185,7 +184,11 @@ def apply(state: GameState, action: Action) -> tuple[GameState, TerminalStatus]:
 
 def state_key(state: GameState) -> str:
     """Stable text key: comma-joined cells, a pipe, then the move count."""
-    return ",".join(map(str, state.cells)) + "|" + str(state.moves_played)
+    return _key_prefix(state.cells) + str(state.moves_played)
+
+
+def _key_prefix(cells: tuple[int, ...]) -> str:  # a state key up to its move count
+    return ",".join(map(str, cells)) + "|"
 
 
 def state_from_key(key: str) -> GameState:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass
 from functools import cache, partial
 from itertools import chain
 from math import isfinite
+from typing import NamedTuple
 
 from .agents import RandomAgent, RandomSource, draw
 from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, GameState, Role, _seat_to_move, initial_state, state_from_key,
@@ -48,8 +48,7 @@ _SEATS_BY_MODE = {  # per seat: None where that table learns, else the Seat that
 }
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     episodes: int = 30_000
     seed: int = 0
     alpha: float = 0.2
@@ -79,7 +78,7 @@ class TrainConfig:
     def digest(self) -> str:
         """Short stable fingerprint so table files say what produced them."""
         import hashlib  # a set-up that trains nothing never loads it
-        text = "|".join(f"{k}={v}" for k, v in sorted({**asdict(self), **REWARDS}.items()))
+        text = "|".join(f"{k}={v}" for k, v in sorted({**self._asdict(), **REWARDS}.items()))
         return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
@@ -209,8 +208,7 @@ def run_episode(mode: int, q_shrinker: QTable, q_amplifier: QTable, episode_idx:
     return status.winner, moves
 
 
-@dataclass
-class CurvePoint:
+class CurvePoint(NamedTuple):
     episode: int
     mode: int
     epsilon: float
@@ -256,11 +254,9 @@ class Curve(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _curve_point(fields: Iterable) -> CurvePoint:
+def _curve_point(fields: Sequence) -> CurvePoint:
     """A point from its column values, ``winner`` read back from its seat."""
-    point = CurvePoint(*fields)
-    point.winner = _ROLES[point.winner]
-    return point
+    return CurvePoint(*fields[:3], _ROLES[fields[3]], *fields[4:])
 
 
 def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:

@@ -27,8 +27,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
@@ -36,6 +35,7 @@ from typing import TYPE_CHECKING
 from .agents import Seat
 from .engine import (
     _AMPLIFIER,
+    _OPS,
     _ROLES,
     _SHRINKER,
     MAX_PLIES,
@@ -44,6 +44,7 @@ from .engine import (
     GameState,
     Role,
     TerminalStatus,
+    _key_prefix,
     _row_actions,
     _seat_to_move,
     _step,
@@ -61,11 +62,10 @@ _Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, th
 _ENDS = tuple(TerminalStatus)  # a finished state's status in Reachable, by its index here
 
 
-@dataclass(repr=False)
 class GameGraph:
     """The row graph from ``root``, and the one index of its states and keys.  Read it; never change it.
 
-    ``ids`` maps each row's cells to its row id, in order of discovery; ``rows`` lists the cells by id.
+    ``ids`` maps each row's cells to its row id, in order of discovery; ``rows`` lists the cells by id, ``width`` rows.
     ``kids[i]`` lists row ``i``'s children, one per legal action in encoded-action order, stepped once,
     the first time the row is live.  Layer ``d`` is ``(ids, statuses)``: the distinct rows at move count
     ``root.moves_played + d`` in order of discovery, the children of the live rows above, and each state's
@@ -73,14 +73,16 @@ class GameGraph:
     ``moves * width + row``; ``live`` holds the live states' positions ascending, and a number indexes it.
     """
 
-    root: GameState
-    ids: dict[tuple[int, ...], int]
-    rows: list[tuple[int, ...]]
-    kids: dict[int, list[int]]
-    layers: list[_Layer]
-    prefixes: list[str]
-    width: int  # the number of rows
-    live: array
+    __slots__ = ("root", "ids", "rows", "kids", "layers", "prefixes", "width", "live")
+
+    def __init__(self, root: GameState, ids: dict[tuple[int, ...], int], rows: list[tuple[int, ...]],
+                 kids: dict[int, list[int]], layers: list[_Layer], prefixes: list[str], width: int,
+                 live: array) -> None:
+        self.root, self.ids, self.rows, self.kids = root, ids, rows, kids
+        self.layers, self.prefixes, self.width, self.live = layers, prefixes, width, live
+
+    def __eq__(self, other: object) -> bool:  # field by field: a rebuild equals the cached graph
+        return type(other) is GameGraph and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def position(self, cells: tuple[int, ...], moves: int) -> int:
         """The position of ``GameState(cells, moves)``, or -1 if its row or move count is off the graph."""
@@ -121,6 +123,7 @@ def game_graph(root: GameState) -> GameGraph:
     kids: dict[int, list[int]] = {}
     row_statuses: list[TerminalStatus] = []
     layers: list[_Layer] = []
+    lives: list[list[int]] = []  # each layer's live row ids
     layer, moves = [0], root.moves_played
     while layer:
         rows += islice(ids, len(rows), None)  # the rows found since the last layer
@@ -131,19 +134,17 @@ def game_graph(root: GameState) -> GameGraph:
             statuses = [status_of(GameState(rows[i], moves)) for i in layer]
         live = [i for i, status in zip(layer, statuses) if status is ONGOING]
         for i in live:
-            if i not in kids:
+            if i not in kids:  # in encoded-action order: both ops on cell 0, then on cell 1, ...
                 cells = rows[i]
-                steps = (_step(cells, a.index, a.op) for a in _row_actions(len(cells)))
-                kids[i] = [ids.setdefault(row, len(ids)) for row in steps]
+                kids[i] = [ids.setdefault(_step(cells, j, op), len(ids)) for j in range(len(cells)) for op in _OPS]
         layers.append((layer, statuses))
+        lives.append(live)
         layer = list(dict.fromkeys(chain.from_iterable([kids[i] for i in live])))
         moves += 1
-    # a row's key prefix comes from state_key once; each state appends its move count
-    prefixes = [state_key(GameState(row, 0))[:-1] for row in rows]
     positions = array("I")  # layers run by move count, so sorting each layer's live positions sorts them all
-    for moves, (layer, statuses) in enumerate(layers, root.moves_played):
-        positions.extend(sorted(moves * len(rows) + i for i, status in zip(layer, statuses) if status is ONGOING))
-    return GameGraph(root, ids, rows, kids, layers, prefixes, len(rows), positions)
+    for moves, live in enumerate(lives, root.moves_played):
+        positions.extend(sorted(moves * len(rows) + i for i in live))
+    return GameGraph(root, ids, rows, kids, layers, [*map(_key_prefix, rows)], len(rows), positions)
 
 
 class _States(Sequence):
@@ -185,15 +186,15 @@ def reachable_states(root: GameState | None = None) -> Reachable:
     return Reachable(root if root is not None else initial_state())
 
 
-@dataclass
 class SolvedGame:
-    root: GameState
-    graph: GameGraph = field(repr=False, compare=False)  # game_graph(root), which the scores index
-    # scores[d][i]: row i's score at move count root.moves_played + d, or 0 if no such
-    # state is reachable; horizon - depth if the Shrinker wins, depth - horizon if not
-    scores: list[array]
-    reachable_shrinker: int  # ongoing states with the Shrinker to move
-    reachable_amplifier: int
+    """``scores[d][i]`` is row ``i``'s score on ``graph = game_graph(root)`` at move count ``root.moves_played + d``:
+    0 if unreachable, horizon - depth if the Shrinker wins, else depth - horizon.  Counts: live states by mover."""
+
+    __slots__ = ("root", "graph", "scores", "reachable_shrinker", "reachable_amplifier")
+
+    def __init__(self, root: GameState, graph: GameGraph, scores: list[array], shrinker: int, amplifier: int) -> None:
+        self.root, self.graph, self.scores = root, graph, scores
+        self.reachable_shrinker, self.reachable_amplifier = shrinker, amplifier
 
     def winner(self, state: GameState) -> Role | None:
         """The winner under optimal play, or None if ``state`` is not reachable from the root."""
@@ -206,6 +207,10 @@ class SolvedGame:
 
     def _depth(self, score: int | None) -> int | None:
         return len(self.scores) - abs(score) if score else None
+
+    def __repr__(self) -> str:  # not the scores
+        return (f"SolvedGame(root={self.root!r}, reachable_shrinker={self.reachable_shrinker}, "
+                f"reachable_amplifier={self.reachable_amplifier})")
 
 
 def _winner(score: int | None) -> Role | None:
@@ -235,28 +240,30 @@ class _Table(Mapping):
         return sum(len(layer) for layer, _ in self._graph.layers)
 
 
-def _backward(graph: GameGraph, ends: tuple, node: Callable, new: Callable) -> list:
-    """One value per state of ``graph``: a fresh ``new(width)`` per layer, root first, by row id.
+def _backward(graph: GameGraph, ends: tuple, node: Callable, new: Callable, keep: Callable | None = None) -> list:
+    """One value per state of ``graph``, root first, by row id: a fresh ``new(width)`` per layer, kept
+    as filled or, with ``keep``, as ``keep(layer)`` once the layer above has read it.
 
     ``width`` is one past the layer's highest row id, so a layer's values fit in it; slots of
     rows the layer lacks keep what ``new`` put there.  A finished state is worth ``ends[0]`` if
-    the Shrinker won, else ``ends[1]``; a live one, ``node(seat to move, [its children's values
-    in encoded-action order])``.
+    the Shrinker won, else ``ends[1]``; a live one, ``node(seat to move, an iterator over its
+    children's values in encoded-action order, their number)``.
     """
-    kids, values, below = graph.kids, [], None
+    kids, values, here = graph.kids, [], ()
     for played, (layer, statuses) in reversed([*enumerate(graph.layers, graph.root.moves_played)]):
-        seat, here = _seat_to_move(played), new(max(layer) + 1)
+        seat, below, get, here = _seat_to_move(played), here, here.__getitem__, new(max(layer) + 1)
         for i, status in zip(layer, statuses):
             if status is ONGOING:
-                here[i] = node(seat, [below[c] for c in kids[i]])
+                kid = kids[i]
+                here[i] = node(seat, map(get, kid), len(kid))
             else:
                 here[i] = ends[0] if status.winner is _SHRINKER else ends[1]
-        values.append(here)
-        below = here
-    return values[::-1]
+        values.append(below if keep is None else keep(below))
+    values.append(here if keep is None else keep(here))
+    return values[:0:-1]  # root first, without the empty layer below the last
 
 
-def _best(seat: int, scores: list[int]) -> int:
+def _best(seat: int, scores: Iterator[int], _: int) -> int:
     """The fastest win, or else the slowest loss, one ply further from the end."""
     s = max(scores) if seat == 0 else min(scores)  # the Shrinker's best score is the highest
     return s - 1 if s > 0 else s + 1
@@ -271,9 +278,9 @@ def solve(root: GameState | None = None) -> SolvedGame:
     # side, horizon - depth if it wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no 0
     horizon = len(graph.layers)
     scores = _backward(graph, (horizon, -horizon), _best, lambda _: array("b", bytes(graph.width)))
-    counts = [0, 0]  # live states by the mover's seat, found by identity: count() would run __eq__ on the rest
-    for moves, (_, statuses) in enumerate(graph.layers, root.moves_played):
-        counts[_seat_to_move(moves)] += [status is ONGOING for status in statuses].count(True)
+    counts, live, width = [0, 0], graph.live, graph.width  # live states by the mover's seat, a run of live a layer
+    for moves in range(root.moves_played, root.moves_played + len(graph.layers)):
+        counts[_seat_to_move(moves)] += bisect_left(live, (moves + 1) * width) - bisect_left(live, moves * width)
     return SolvedGame(root, graph, scores, *counts)
 
 
@@ -311,12 +318,13 @@ def _random_play(root: GameState, exact: bool) -> tuple[list, Callable]:
     """
     graph = game_graph(root)
     if not exact:  # one by one in encoded-action order; sum() rounds differently on 3.12+
-        values = _backward(graph, (1.0, 0.0), lambda _, outs: reduce(add, outs, 0.0) / len(outs),
-                           lambda n: array("d", [math.nan]) * n)
+        # a layer is filled as a list, whose reads hand back the stored floats, then kept as an array
+        values = _backward(graph, (1.0, 0.0), lambda _, outs, n: reduce(add, outs, 0.0) / n,
+                           lambda n: [math.nan] * n, partial(array, "d"))
         return values, lambda p: p if p == p else None  # None off the graph; NaN, an empty slot, is not == NaN
     from fractions import Fraction  # only an exact table loads it
     denom = math.lcm(*map(len, graph.kids.values())) ** (len(graph.layers) - 1)  # D
-    values = _backward(graph, (denom, 0), lambda _, outs: sum(outs) // len(outs), lambda n: [None] * n)
+    values = _backward(graph, (denom, 0), lambda _, outs, n: sum(outs) // n, lambda n: [None] * n)
     return values, lambda n: None if n is None else Fraction(n, denom)
 
 

@@ -5,7 +5,6 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -58,11 +57,23 @@ class TestTrain:
     def test_flags_default_to_the_config(self):
         # the nine training flags take their defaults and types from TrainConfig
         args = vars(build_parser().parse_args(["train", "-o", "out"]))
-        defaults = asdict(TrainConfig())
+        defaults = TrainConfig()._asdict()
         shared = args.keys() & defaults.keys()
         assert len(shared) == 9
         assert {k: (args[k], type(args[k])) for k in shared} == {k: (defaults[k], type(defaults[k])) for k in shared}
         assert TrainConfig(**{k: args[k] for k in shared}) == TrainConfig()
+
+    def test_flags_and_defaults_are_pinned(self):
+        # the training flags as the command line spells them, each default with its type
+        flags = {"--episodes": 30000, "--seed": 0, "--alpha": 0.2, "--gamma": 0.92, "--eps-start": 1.0,
+                 "--eps-min": 0.05, "--eps-decay": 0.9997, "--curriculum": "roundrobin", "--log-every": 1}
+        parser = build_parser()
+        args = vars(parser.parse_args(["train", "-o", "out"]))
+        assert {flag: args[flag[2:].replace("-", "_")] for flag in flags} == flags
+        assert [type(args[flag[2:].replace("-", "_")]) for flag in flags] == list(map(type, flags.values()))
+        # each flag reads its value back, as the default's type
+        argv = ["train", "-o", "out", *(part for flag, value in flags.items() for part in (flag, str(value)))]
+        assert vars(parser.parse_args(argv)) == args
 
 
 def test_solve_reports_the_exact_answers(capsys, tmp_path):

@@ -220,6 +220,21 @@ def test_action_text():
     assert Action(4, Op.AMPLIFY).text == "AMPLIFY 4"
 
 
+def test_states_and_actions_are_read_only_values():
+    # both are records: a repr that names the fields, fields that cannot be assigned,
+    # and equality and hashing by value, so a position reached twice is one key
+    state, action = initial_state(), Action(1, Op.DRAIN)
+    assert repr(state) == "GameState(cells=(2, 1, 3, 1, 2), moves_played=0)"
+    for record, field in ((state, "cells"), (state, "moves_played"), (action, "index"), (action, "op")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    there, _ = apply(apply(state, Action(0, Op.AMPLIFY))[0], Action(0, Op.DRAIN))
+    assert there.cells is not state.cells
+    assert there == GameState((2, 1, 3, 1, 2), 2) and hash(there) == hash(GameState((2, 1, 3, 1, 2), 2))
+    assert len({there, GameState(INITIAL_CELLS, 2)}) == 1
+    assert Action(1, Op.DRAIN) == action and hash(Action(1, Op.DRAIN)) == hash(action)
+
+
 def test_state_key_round_trip():
     for key in ("2,1,3,1,2|0", "24,1,2|6", "7|3", "4,2|15"):
         assert state_key(state_from_key(key)) == key

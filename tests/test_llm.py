@@ -324,10 +324,11 @@ print(json.dumps([lazy, [m for m in {OFFLINE_UNUSED!r} if m in sys.modules]]))
     assert _fresh_python(code, str(tmp_path / "q.txt")) == [[], []]
 
 
-# a set-up (import the CLI, solve the game, load a table) writes no file, so it
-# needs none of the modules that writing run.cfg, fingerprinting a training
-# config or an exact random-play table use
-SETUP_UNUSED = ("json", "hashlib", "fractions", "decimal", "datetime")
+# a set-up (import the CLI, solve the game, load a table) writes no file and
+# parses no command line, so it needs none of the modules that writing run.cfg,
+# fingerprinting a training config, an exact random-play table or argparse use;
+# its record types are not dataclasses, whose module loads inspect
+SETUP_UNUSED = ("json", "hashlib", "fractions", "decimal", "datetime", "argparse", "dataclasses", "inspect")
 
 
 def test_setup_loads_no_module_it_does_not_use(tmp_path):

@@ -97,6 +97,12 @@ class TestConfig:
         # the fixed rewards are hashed with the fields, so moving them cannot change it
         assert TrainConfig().digest() == "d1424ee65e762169"
 
+    def test_fields_are_read_only(self):
+        cfg = TrainConfig()
+        with pytest.raises(AttributeError):
+            cfg.seed = 1
+        assert cfg == TrainConfig() and cfg.seed == 0
+
 
 class TestEpsilon:
     def test_schedule_start(self):
@@ -235,7 +241,7 @@ class TestTraining:
         b = train(cfg)
         assert a[0].entries == b[0].entries
         assert a[1].entries == b[1].entries
-        assert [p.__dict__ for p in a[2]] == [p.__dict__ for p in b[2]]
+        assert [p._asdict() for p in a[2]] == [p._asdict() for p in b[2]]
 
     def test_different_seeds_diverge(self):
         a = train(TrainConfig(episodes=400, seed=5))
@@ -534,7 +540,7 @@ class TestCurve:
         assert curve == points and points == curve
         assert curve == tuple(points)
         assert curve != points[:-1]
-        changed = points[:-1] + [CurvePoint(**{**points[-1].__dict__, "plies": 99})]
+        changed = points[:-1] + [CurvePoint(**{**points[-1]._asdict(), "plies": 99})]
         assert curve != changed
         assert curve != "not a curve"
 

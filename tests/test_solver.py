@@ -227,6 +227,14 @@ def test_exact_questions_leave_the_cached_graph_unchanged(solved):
     assert game_graph(initial_state()) == game_graph.__wrapped__(initial_state())
 
 
+def test_graph_and_solution_reprs_leave_out_the_tables(solved):
+    # an error message or a debugger shows the root and counts, not 3,333 rows or 16 layers of scores
+    assert repr(solved) == ("SolvedGame(root=GameState(cells=(2, 1, 3, 1, 2), moves_played=0), "
+                            f"reachable_shrinker={solved.reachable_shrinker}, "
+                            f"reachable_amplifier={solved.reachable_amplifier})")
+    assert len(repr(solved.graph)) < 80
+
+
 def test_cached_graph_stays_small():
     # the standard game's graph is kept for the life of the process
     game_graph.cache_clear()
@@ -642,11 +650,12 @@ def test_sub_games_agree_with_the_full_game(solved):
 def _fraction_reference(root: GameState) -> dict[str, Fraction]:
     """The exact random-play table by ``Fraction`` arithmetic, one lcm of the children's denominators a state."""
 
-    def node(seat, outcomes):
+    def node(seat, outcomes, n):  # _backward hands over the children's values as an iterator, and their number
+        outcomes = list(outcomes)
         lcd = 1
         for q in outcomes:
             lcd = math.lcm(lcd, q.denominator)
-        return Fraction(sum(q.numerator * (lcd // q.denominator) for q in outcomes), lcd * len(outcomes))
+        return Fraction(sum(q.numerator * (lcd // q.denominator) for q in outcomes), lcd * n)
 
     graph = game_graph(root)
     values = flux.solver._backward(graph, (Fraction(1), Fraction(0)), node, lambda n: [None] * n)
