@@ -105,7 +105,7 @@ class GreedyQAgent(Seat):
 
     def __init__(self, qtable: "QTable") -> None:
         super().__init__()
-        from .qlearn import standard_graph  # qlearn imports this module
+        from .solver import standard_graph  # the solver imports this module
         self.qtable, self._graph = qtable, standard_graph()
 
     def code(self, cells, moves):

@@ -9,7 +9,7 @@ Usage:
     flux replay out/transcripts.jsonl
     flux classify out/transcripts.jsonl
 
-Exit codes: 0 success, 1 replay verification mismatch, 2 usage or config error.
+Exit codes: 0 success, 1 replay verification mismatch, 2 usage, config, format or file-system error.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,27 +9,27 @@ next, so the opponent's reply is folded into the environment.  The rewards are
 fixed constants of the recipe, ``REWARDS``: +1 for a win and -1 for a loss at
 the end of the game, 0 for every step in between; no flag or config field sets them.
 
-Tables index the standard game's 8,410 live states by number on its ``GameGraph``, which writes and finds
-their keys too.  A ``QTable`` keeps flat stores: an array from state number to row (-1 for none), each row's
-state number, ten ``float`` slots a row (two codes per opening cell; rows never grow) and a bitmask of the
-updated codes.  An episode walks the graph by move count and row id, building no state and no key: state
-keys exist only in table files and in the read-only ``entries`` view.  Only ``q_update`` and ``load_qtable`` add rows.
+Tables index the standard game's 8,410 live states by number on ``solver.standard_graph()``, kept for the
+process, which writes and finds their keys too.  A ``QTable`` keeps flat stores: an array from state number
+to row (-1 for none), each row's state number, ten ``float`` slots a row (two codes per opening cell; rows
+never grow) and a bitmask of the updated codes.  An episode walks the graph by move count and row id,
+building no state and no key: state keys exist only in table files and in the read-only ``entries`` view.
+Only ``q_update`` and ``load_qtable`` add rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import cache, partial
 from itertools import chain
 from math import isfinite
 from typing import NamedTuple
 
 from .agents import RandomAgent, RandomSource, draw
-from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, GameState, Role, _seat_to_move, initial_state, state_from_key,
+from .engine import (_ROLES, INITIAL_CELLS, MAX_PLIES, GameState, Role, _seat_to_move, state_from_key,
                      status_of)
 from .errors import ConfigError, FormatError, text_lines
-from .solver import game_graph
+from .solver import standard_graph
 
 CURRICULA = ("roundrobin", "block")  # the episode orders mode_for_episode knows
 
@@ -84,10 +84,6 @@ class TrainConfig(NamedTuple):
 
 _ROW = 2 * len(INITIAL_CELLS)  # Q slots per row: two codes per opening cell, as rows never grow
 _ZERO_ROW = bytes(8 * _ROW)  # a row of 0.0
-
-
-# the standard game's graph, which tables index, held once built: solving another root forces no rebuild
-standard_graph = cache(partial(game_graph, initial_state()))
 
 
 class _Rows(Mapping):

@@ -4,9 +4,10 @@ A state's children depend only on its row, and so does its status below the
 ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
 each live row is stepped once, through the unchecked step ``apply`` shares,
 and ``status_of`` runs once per row and once per state at the limit.
-``game_graph`` builds a root's ``GameGraph``, one layer of rows per move count,
-and keeps the last one; every exact question reads it and none changes it.  It
-is the one index of the root's states: a state's position (move count and row
+``game_graph`` builds a root's ``GameGraph``, one layer of rows per move count;
+``standard_graph`` keeps the standard game's for the life of the process, and no
+other module keeps one.  Each exact question reads one graph and none changes it.
+It is the one index of the root's states: a state's position (move count and row
 id), the numbers of the live ones, and every state key, written and found.
 ``reachable_states`` keeps arrays of positions and builds a ``GameState`` only
 when one is read.  A backward pass (retrograde analysis) gives each state one
@@ -27,7 +28,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from functools import lru_cache, partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
@@ -116,9 +117,12 @@ class GameGraph:
         return layer[row] if row < len(layer) else None
 
 
-@lru_cache(maxsize=1)
 def game_graph(root: GameState) -> GameGraph:
-    """The ``GameGraph`` from ``root``, built once and kept until another root's is asked for."""
+    """The ``GameGraph`` from ``root``: the kept ``standard_graph()`` for the opening, else a fresh build."""
+    return standard_graph() if root == initial_state() else _build_graph(root)
+
+
+def _build_graph(root: GameState) -> GameGraph:
     ids, rows = {root.cells: 0}, []  # cells -> row id in order of discovery, and row id -> cells
     kids: dict[int, list[int]] = {}
     row_statuses: list[TerminalStatus] = []
@@ -147,6 +151,12 @@ def game_graph(root: GameState) -> GameGraph:
     return GameGraph(root, ids, rows, kids, layers, [*map(_key_prefix, rows)], len(rows), positions)
 
 
+@cache
+def standard_graph() -> GameGraph:
+    """The standard game's ``GameGraph``, built once and kept for the life of the process."""
+    return _build_graph(initial_state())
+
+
 class _States(Sequence):
     """Read-only states at positions ``moves * width + row``, each built when read; with ``ends``, status pairs."""
 
@@ -163,22 +173,21 @@ class _States(Sequence):
 
 
 class Reachable:
-    """Every state legal moves reach from a root; it keeps the parts of the root's graph it reads."""
+    """Every state legal moves reach from a root, in order of discovery; it keeps the root's graph."""
 
     def __init__(self, root: GameState) -> None:
-        graph = game_graph(root)
+        self._graph = graph = game_graph(root)
         rows, width, layers, live, done = graph.rows, graph.width, graph.layers, array("I"), array("I")
         for moves, (layer, statuses) in enumerate(layers, root.moves_played):
             for i, status in zip(layer, statuses):
                 (live if status is ONGOING else done).append(moves * width + i)
         ends = array("B", (_ENDS.index(s) for _, statuses in layers for s in statuses if s is not ONGOING))
         self.ongoing, self.terminal = _States(rows, width, live), _States(rows, width, done, ends)
-        self._prefixes = graph.prefixes
 
     def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
-        spots = (divmod(pos, self.ongoing._width) for pos in self.ongoing._at)
-        return frozenset(self._prefixes[row] + str(moves) for moves, row in spots
-                          if role is None or _ROLES[_seat_to_move(moves)] is role)
+        graph = self._graph
+        return frozenset(graph.key(pos) for pos in graph.live
+                         if role is None or _ROLES[_seat_to_move(pos // graph.width)] is role)
 
 
 def reachable_states(root: GameState | None = None) -> Reachable:
@@ -308,35 +317,28 @@ def _optimal_code(solved: SolvedGame, cells: tuple[int, ...], moves: int) -> int
     return scores.index(best)
 
 
-def _random_play(root: GameState, exact: bool) -> tuple[list, Callable]:
-    """The Shrinker's win probability by layer and row id when both sides play uniformly, and its decoder.
+def random_win_table(root: GameState | None = None, exact: bool = False) -> Mapping[str, float | Fraction]:
+    """Shrinker win probability at every reachable state when both sides play uniformly.
 
-    A float layer is an ``array('d')``, NaN where the layer holds no state.  An exact value is an
-    integer over one denominator ``D = L ** (layers - 1)``, ``L`` the lcm of the live rows' numbers
-    of moves: ``D`` times a probability ``d`` layers down is a multiple of ``L ** d``, so every mean
-    divides exactly, and the pass makes no ``Fraction`` and no gcd.
+    The pass keeps it by layer and row id.  A float layer is an ``array('d')``, NaN where the layer
+    holds no state.  An exact value is an integer over one denominator ``D = L ** (layers - 1)``,
+    ``L`` the lcm of the live rows' numbers of moves: ``D`` times a probability ``d`` layers down is
+    a multiple of ``L ** d``, so every mean divides exactly, and the pass makes no ``Fraction`` and no gcd.
     """
-    graph = game_graph(root)
+    graph = game_graph(root if root is not None else initial_state())
     if not exact:  # one by one in encoded-action order; sum() rounds differently on 3.12+
         # a layer is filled as a list, whose reads hand back the stored floats, then kept as an array
         values = _backward(graph, (1.0, 0.0), lambda _, outs, n: reduce(add, outs, 0.0) / n,
                            lambda n: [math.nan] * n, partial(array, "d"))
-        return values, lambda p: p if p == p else None  # None off the graph; NaN, an empty slot, is not == NaN
+        return _Table(graph, values, lambda p: p if p == p else None)  # NaN, an empty slot, is not == NaN
     from fractions import Fraction  # only an exact table loads it
     denom = math.lcm(*map(len, graph.kids.values())) ** (len(graph.layers) - 1)  # D
     values = _backward(graph, (denom, 0), lambda _, outs, n: sum(outs) // n, lambda n: [None] * n)
-    return values, lambda n: None if n is None else Fraction(n, denom)
-
-
-def random_win_table(root: GameState | None = None, exact: bool = False) -> Mapping[str, float | Fraction]:
-    """Shrinker win probability at every reachable state when both sides play uniformly."""
-    root = root if root is not None else initial_state()
-    return _Table(game_graph(root), *_random_play(root, exact))
+    return _Table(graph, values, lambda n: None if n is None else Fraction(n, denom))
 
 
 def random_win_prob(state: GameState, exact: bool = False) -> float | Fraction:
-    values, decode = _random_play(state, exact)
-    return decode(values[0][0])  # the root is row 0 of the first layer
+    return random_win_table(state, exact)[state_key(state)]
 
 
 def export_solved(solved: SolvedGame, path: str) -> None:
@@ -351,7 +353,7 @@ def export_solved(solved: SolvedGame, path: str) -> None:
                 fh.write(f"{prefixes[i]}{m}\t{_winner(s).value},{solved._depth(s)}\n")
 
 
-@lru_cache(maxsize=1)
+@cache
 def default_solved() -> SolvedGame:
     """The solved standard game, computed once per process."""
     return solve()

@@ -4,6 +4,8 @@ import tempfile
 
 import pytest
 
+import flux.engine
+import flux.solver
 from flux.arena import GameRecord, _ply
 from flux.engine import (
     Role,
@@ -15,12 +17,27 @@ from flux.engine import (
 )
 from flux.llm import ScriptedBackend, llm_agent_step
 from flux.qlearn import TrainConfig, load_qtable, train
-from flux.solver import default_solved
+from flux.solver import default_solved, standard_graph
 
 
 @pytest.fixture(scope="session")
 def solved():
     return default_solved()
+
+
+@pytest.fixture()
+def graph_steps(monkeypatch):
+    """A one-item list counting the graph's ``_step`` calls, from an empty graph cache."""
+    calls = [0]
+
+    def counting_step(cells, index, op):
+        calls[0] += 1
+        return flux.engine._step(cells, index, op)
+
+    monkeypatch.setattr(flux.solver, "_step", counting_step)
+    standard_graph.cache_clear()  # a cached graph would be read, not stepped
+    yield calls
+    standard_graph.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -310,6 +310,20 @@ def test_undecodable_files_exit_2(tmp_path, capsys, argv, encoding):
     assert err.startswith("error: ") and f"{bad}: byte 0xff is not {encoding} text" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("replay", "{dir}"), ("solve", "-o", "{file}"), ("tournament", "--p0", "rl:{dir}", "--p1", "random")],
+    ids=["replay-a-directory", "solve-into-a-file", "tournament-rl-a-directory"],
+)
+def test_file_system_errors_exit_2(tmp_path, capsys, argv):
+    # each used to end in an IsADirectoryError or FileExistsError traceback and exit 1, a replay mismatch's code
+    file = tmp_path / "taken.txt"
+    file.write_text("")
+    assert run(*(a.format(dir=tmp_path, file=file) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_benchmark_writes_report_and_stats(tmp_path, capsys):
     train_out = tmp_path / "train"
     assert run("train", "--episodes", 800, "--seed", 6, "-o", train_out) == 0

@@ -17,7 +17,6 @@ import pytest
 
 import flux.engine
 import flux.qlearn
-import flux.solver
 from flux.agents import GreedyQAgent
 from flux.engine import GameState, Role, initial_state, state_from_key
 from flux.errors import ConfigError, FormatError
@@ -567,22 +566,15 @@ class TestCurve:
         assert kept / len(curve) <= 48
 
 
-def test_another_solve_leaves_tables_and_agents_the_standard_graph(monkeypatch):
-    # the numbering keeps its own reference to the standard graph, so after a solve
-    # of another root evicts game_graph's one cached graph, loading a table,
-    # training and greedy play step no row again
+def test_another_solve_leaves_tables_and_agents_the_standard_graph(graph_steps):
+    # tables number states on the solver's one kept standard graph, and a solve of
+    # another root evicts nothing: loading a table, training, greedy play and the
+    # reachable states step no row again
     load_qtable(str(FIXTURE))  # the numbering is built by now
     solve(GameState((4, 1, 3, 1, 2), 1))
-    calls = [0]
-
-    def counting_step(cells, index, op):
-        calls[0] += 1
-        return flux.engine._step(cells, index, op)
-
-    monkeypatch.setattr(flux.solver, "_step", counting_step)
+    graph_steps[0] = 0
     q = load_qtable(str(FIXTURE))
     train(TrainConfig(episodes=30))
     GreedyQAgent(q).choose(initial_state(), Role.SHRINKER, random.Random(0))
-    assert calls == [0]
-    reachable_states()  # the standard graph really was evicted: it is built again here
-    assert calls == [15048]
+    reachable_states()
+    assert graph_steps == [0]

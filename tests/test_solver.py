@@ -20,6 +20,7 @@ import pytest
 
 import flux
 import flux.engine
+import flux.qlearn
 import flux.solver
 from flux.agents import RandomAgent
 from flux.arena import classify_failure, play_game
@@ -39,7 +40,6 @@ from flux.engine import (
     status_of,
 )
 from flux.errors import StateError
-from flux.qlearn import standard_graph
 from flux.solver import (
     OptimalAgent,
     default_solved,
@@ -50,6 +50,7 @@ from flux.solver import (
     random_win_table,
     reachable_states,
     solve,
+    standard_graph,
 )
 
 from conftest import load_rows
@@ -132,23 +133,20 @@ def test_ongoing_keys_come_from_the_graph(root):
     assert len(reach.ongoing_keys()) == len(reach.ongoing)
 
 
-def test_reachable_states_keep_their_own_graph(monkeypatch):
-    # a later solve of another root evicts game_graph's cached graph, but the
-    # views read the one they were built from and step no row again
+def test_reachable_states_keep_their_own_graph(graph_steps):
+    # a solve of another root builds that root's graph and evicts nothing: the
+    # views read the graph they were built from, and every later question about
+    # the standard game reads the one kept graph, stepping no row again
     reach = reachable_states()
     solve(SUB_ROOT)
-    calls = [0]
-
-    def counting_step(cells, index, op):
-        calls[0] += 1
-        return flux.engine._step(cells, index, op)
-
-    monkeypatch.setattr(flux.solver, "_step", counting_step)
+    graph_steps[0] = 0
     assert _reachable_digest(reach) == REACHABLE_ORDER_SHA256
     assert len(reach.ongoing_keys(Role.SHRINKER)) == 4426
-    assert calls == [0]
-    reachable_states()  # the standard graph really was evicted: it is built again here
-    assert calls == [15048]
+    assert graph_steps == [0]
+    reachable_states()
+    random_win_table()
+    assert random_win_prob(initial_state()) == RANDOM_PLAY_SHRINKER_WIN
+    assert graph_steps == [0]
 
 
 def test_reachable_states_build_no_states():
@@ -186,21 +184,6 @@ def test_every_graph_edge_matches_the_checked_apply():
     assert (states, edges) == (8410, 74108)
 
 
-@pytest.fixture()
-def graph_steps(monkeypatch):
-    """A one-item list counting the graph's ``_step`` calls, from an empty graph cache."""
-    calls = [0]
-
-    def counting_step(cells, index, op):
-        calls[0] += 1
-        return flux.engine._step(cells, index, op)
-
-    monkeypatch.setattr(flux.solver, "_step", counting_step)
-    game_graph.cache_clear()  # a cached graph would be read, not stepped
-    yield calls
-    game_graph.cache_clear()
-
-
 def test_graph_steps_each_live_row_once(graph_steps):
     # the children of a state depend only on its row, so a row live at many
     # move counts is stepped once: 15,048 steps for the 1,711 distinct live
@@ -224,7 +207,7 @@ def test_exact_questions_leave_the_cached_graph_unchanged(solved):
     live = reachable_states().ongoing
     for state in random.Random(5).sample(live, 100):
         optimal_policy(solved, state)
-    assert game_graph(initial_state()) == game_graph.__wrapped__(initial_state())
+    assert game_graph(initial_state()) == standard_graph.__wrapped__()
 
 
 def test_graph_and_solution_reprs_leave_out_the_tables(solved):
@@ -237,7 +220,7 @@ def test_graph_and_solution_reprs_leave_out_the_tables(solved):
 
 def test_cached_graph_stays_small():
     # the standard game's graph is kept for the life of the process
-    game_graph.cache_clear()
+    standard_graph.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -264,9 +247,9 @@ def test_graph_classifies_each_row_once_below_the_ply_limit(monkeypatch):
 
     monkeypatch.setattr(flux.solver, "status_of", counting_status_of)
     monkeypatch.setattr(flux.engine, "status_of", counting_status_of)
-    game_graph.cache_clear()
+    standard_graph.cache_clear()
     reach = reachable_states()
-    game_graph.cache_clear()
+    standard_graph.cache_clear()
     assert len(reach.ongoing) + len(reach.terminal) == 16613
     assert sum(s.moves_played == MAX_PLIES for s, _ in reach.terminal) == 1685
     assert calls == 3333 + 1685
@@ -347,6 +330,24 @@ def test_one_module_numbers_and_parses_state_keys():
                 splits.append((path.name, scopes.get(node)))
     assert bisects == ["solver.py"]
     assert sorted(splits) == [("engine.py", "state_from_key"), ("solver.py", "find")]
+
+
+def test_only_the_solver_keeps_a_graph():
+    # functools' caches wrap only these three functions, each as a decorator: the
+    # standard game's graph has one owner, and any other root's graph lives with
+    # the SolvedGame, Reachable or table its caller keeps
+    decorated, uses = [], 0
+    for path in sorted(Path(flux.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            uses += getattr(node, "id", getattr(node, "attr", None)) in ("cache", "lru_cache")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    d = d.func if isinstance(d, ast.Call) else d  # lru_cache(maxsize=...)
+                    if getattr(d, "id", getattr(d, "attr", None)) in ("cache", "lru_cache"):
+                        decorated.append(f"{path.stem}.{node.name}")
+    assert sorted(decorated) == ["engine._row_actions", "solver.default_solved", "solver.standard_graph"]
+    assert uses == len(decorated)  # no cache(...) call outside a decorator
+    assert flux.qlearn.standard_graph is flux.solver.standard_graph
 
 
 def test_solve_agrees_with_a_plain_minimax(solved):
@@ -459,7 +460,7 @@ def test_a_solved_game_outlives_the_cached_graph(solved):
     earlier = solve()
     live = random.Random(31).sample(reachable_states().ongoing, 300)
     answers = [(earlier.winner(s), optimal_policy(earlier, s)) for s in live]
-    game_graph.cache_clear()
+    standard_graph.cache_clear()
     assert [(earlier.winner(s), optimal_policy(earlier, s)) for s in live] == answers
     assert earlier.value == expected_value
     assert earlier.depth == expected_depth
