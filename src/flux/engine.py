@@ -123,13 +123,17 @@ def initial_state() -> GameState:
 
 def status_of(state: GameState) -> TerminalStatus:
     """Classify a state.  Checks are ordered: sum cap, then row length, then tiebreak."""
-    cells = state.cells
+    return _status(state.cells, state.moves_played)
+
+
+def _status(cells: tuple[int, ...], moves: int) -> TerminalStatus:
+    """``status_of(GameState(cells, moves))``, the rule's one copy: callers that hold a row skip the ``GameState``."""
     if sum(cells) > SUM_LIMIT:
         return _SUM_EXCEEDED
     n = len(cells)
     if n <= 1:
         return _SINGLE_CELL
-    if state.moves_played >= MAX_PLIES:
+    if moves >= MAX_PLIES:
         return _TIEBREAK_FEW if n < TIEBREAK_MIN_CELLS else _TIEBREAK_MANY
     return ONGOING
 
@@ -156,9 +160,10 @@ def legal_actions(state: GameState) -> list[Action]:
 
     The list is a fresh copy, so callers may change it freely.
     """
-    if status_of(state) is not ONGOING:
+    cells = state.cells
+    if _status(cells, state.moves_played) is not ONGOING:
         raise StateError(f"game over in state {state_key(state)!r}; no legal actions")
-    return list(_row_actions(len(state.cells)))
+    return list(_row_actions(len(cells)))
 
 
 def _step(cells: tuple[int, ...], index: int, op: Op) -> tuple[int, ...]:
@@ -173,13 +178,14 @@ def apply(state: GameState, action: Action) -> tuple[GameState, TerminalStatus]:
 
     Every check is made here; the move itself is ``_step``, the rule's one copy.
     """
-    if status_of(state) is not ONGOING:
+    cells, moves = state.cells, state.moves_played
+    if _status(cells, moves) is not ONGOING:
         raise StateError(f"cannot move in finished state {state_key(state)!r}")
-    cells, index = state.cells, action.index
+    index = action.index
     if not 0 <= index < len(cells):
         raise IndexError(f"cell index {index} out of range for a row of {len(cells)}")
-    nxt = GameState(_step(cells, index, action.op), state.moves_played + 1)
-    return nxt, status_of(nxt)
+    cells, moves = _step(cells, index, action.op), moves + 1
+    return GameState(cells, moves), _status(cells, moves)
 
 
 def state_key(state: GameState) -> str:
@@ -193,10 +199,15 @@ def _key_prefix(cells: tuple[int, ...]) -> str:  # a state key up to its move co
 
 def state_from_key(key: str) -> GameState:
     """The state whose ``state_key`` is ``key``; any text ``state_key`` never writes is a ``ValueError``."""
+    return GameState(*_key_fields(key))
+
+
+def _key_fields(key: str) -> tuple[tuple[int, ...], int]:
+    """The cells and move count of a key ``state_key`` writes, checked by the one key grammar, else a ``ValueError``."""
     if not _CANONICAL_KEY.fullmatch(key):
         raise ValueError(f"non-canonical state key {key!r}")
-    cells_part, _, moves_part = key.partition("|")
-    return GameState(tuple(map(int, cells_part.split(","))), int(moves_part))
+    cells, _, moves = key.partition("|")
+    return tuple(map(int, cells.split(","))), int(moves)
 
 
 def encode_action(action: Action) -> int:

@@ -285,11 +285,12 @@ _HEADERS = ("role", "episodes", "config_digest")  # a table file has each once, 
 
 def save_qtable(q: QTable, path: str) -> None:
     values, masks, graph = q._q, q._seen, standard_graph()
+    prefixes = graph.prefixes  # built by the first key this process writes
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#role={q.role.value}\n#episodes={q.episodes}\n#config_digest={q.config_digest}\n")
         # key order without the keys: a prefix holds one "|", at its end, so it sorts before the move count
         spots = (divmod(graph.live[n], graph.width) for n in q._numbers)  # (moves, row id) of each table row
-        for prefix, moves, row in sorted((graph.prefixes[i], str(m), row) for row, (m, i) in enumerate(spots)):
+        for prefix, moves, row in sorted((prefixes[i], str(m), row) for row, (m, i) in enumerate(spots)):
             seen = masks[row]
             cells = ";".join([f"{c}={values[row * _ROW + c]!r}" for c in range(seen.bit_length()) if seen >> c & 1])
             fh.write(f"{prefix}{moves}\t{cells}\n")

@@ -3,7 +3,7 @@
 A state's children depend only on its row, and so does its status below the
 ply limit: the 16,613 states of the standard game hold 3,333 distinct rows,
 each live row is stepped once, through the unchecked step ``apply`` shares,
-and ``status_of`` runs once per row and once per state at the limit.
+and the status rule runs once per row and once per state at the limit.
 ``game_graph`` builds a root's ``GameGraph``, one layer of rows per move count;
 ``standard_graph`` keeps the standard game's for the life of the process, and no
 other module keeps one.  Each exact question reads one graph and none changes it.
@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from functools import cache, partial, reduce
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -45,9 +45,11 @@ from .engine import (
     GameState,
     Role,
     TerminalStatus,
+    _key_fields,
     _key_prefix,
     _row_actions,
     _seat_to_move,
+    _status,
     _step,
     initial_state,
     state_key,
@@ -59,31 +61,37 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
     from fractions import Fraction
 
-_Layer = tuple[list[int], list[TerminalStatus]]  # row ids at one move count, their statuses
-_ENDS = tuple(TerminalStatus)  # a finished state's status in Reachable, by its index here
+_Layer = tuple[array, array]  # row ids at one move count, their status codes
+_STATUSES = tuple(TerminalStatus)  # a status code is its index here: 0 for ONGOING
 
 
 class GameGraph:
     """The row graph from ``root``, and the one index of its states and keys.  Read it; never change it.
 
     ``ids`` maps each row's cells to its row id, in order of discovery; ``rows`` lists the cells by id, ``width`` rows.
-    ``kids[i]`` lists row ``i``'s children, one per legal action in encoded-action order, stepped once,
-    the first time the row is live.  Layer ``d`` is ``(ids, statuses)``: the distinct rows at move count
-    ``root.moves_played + d`` in order of discovery, the children of the live rows above, and each state's
-    status.  ``prefixes[i]`` is row ``i``'s key up to its move count.  A state's position is
-    ``moves * width + row``; ``live`` holds the live states' positions ascending, and a number indexes it.
+    ``kids[i]`` is a tuple of row ``i``'s children, one per legal action in encoded-action order, stepped the
+    first time the row is live, else ``()``.  Layer ``d`` is two arrays: the distinct rows at move count
+    ``root.moves_played + d`` in order of discovery, the children of the live rows above, and each state's status
+    code, its index in ``_STATUSES``.  ``prefixes[i]``, row ``i``'s key up to its move count, is built by the first
+    key written; ``find`` checks keys by the engine's grammar.  A state's position is ``moves * width + row``;
+    ``live`` holds the live states' positions ascending, and a number indexes it.
     """
 
-    __slots__ = ("root", "ids", "rows", "kids", "layers", "prefixes", "width", "live")
+    __slots__ = ("root", "ids", "rows", "kids", "layers", "width", "live", "_prefixes")
 
     def __init__(self, root: GameState, ids: dict[tuple[int, ...], int], rows: list[tuple[int, ...]],
-                 kids: dict[int, list[int]], layers: list[_Layer], prefixes: list[str], width: int,
-                 live: array) -> None:
+                 kids: list[tuple[int, ...]], layers: list[_Layer], width: int, live: array) -> None:
         self.root, self.ids, self.rows, self.kids = root, ids, rows, kids
-        self.layers, self.prefixes, self.width, self.live = layers, prefixes, width, live
+        self.layers, self.width, self.live, self._prefixes = layers, width, live, None
 
-    def __eq__(self, other: object) -> bool:  # field by field: a rebuild equals the cached graph
-        return type(other) is GameGraph and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    def __eq__(self, other: object) -> bool:  # field by field but the prefixes, which the rows fix
+        return type(other) is GameGraph and all(getattr(self, f) == getattr(other, f) for f in self.__slots__[:-1])
+
+    @property
+    def prefixes(self) -> list[str]:
+        if self._prefixes is None:
+            self._prefixes = [*map(_key_prefix, self.rows)]
+        return self._prefixes
 
     def position(self, cells: tuple[int, ...], moves: int) -> int:
         """The position of ``GameState(cells, moves)``, or -1 if its row or move count is off the graph."""
@@ -102,13 +110,11 @@ class GameGraph:
         return self.prefixes[row] + str(moves)
 
     def find(self, key: object) -> int:
-        """The position whose key is ``key``, or -1: any text but the key this graph writes misses."""
+        """The position whose key is ``key``, or -1: for any text but a canonical key of a state on the graph."""
         try:
-            cells, _, moves = key.partition("|")
-            pos = self.position(tuple(map(int, cells.split(","))), int(moves))
-        except (AttributeError, TypeError, ValueError):  # not a string, or not numbers
+            return self.position(*_key_fields(key))
+        except (TypeError, ValueError):  # not a string, or not in the key grammar
             return -1
-        return pos if pos >= 0 and self.key(pos) == key else -1  # int() also reads " 1", "+1", "1_0" and "-0"
 
     def at(self, values: list, pos: int) -> object:
         """``values``' entry for position ``pos``, by layer from the root and row id; None for -1 or past a layer."""
@@ -124,31 +130,31 @@ def game_graph(root: GameState) -> GameGraph:
 
 def _build_graph(root: GameState) -> GameGraph:
     ids, rows = {root.cells: 0}, []  # cells -> row id in order of discovery, and row id -> cells
-    kids: dict[int, list[int]] = {}
-    row_statuses: list[TerminalStatus] = []
+    kids: list[tuple[int, ...]] = []
+    row_codes = bytearray()  # each row's status code below the ply limit
     layers: list[_Layer] = []
-    lives: list[list[int]] = []  # each layer's live row ids
     layer, moves = [0], root.moves_played
     while layer:
         rows += islice(ids, len(rows), None)  # the rows found since the last layer
-        row_statuses += [status_of(GameState(row, 0)) for row in rows[len(row_statuses):]]
-        if moves < MAX_PLIES:  # status_of tests the move count last, after the sum and the length
-            statuses = [row_statuses[i] for i in layer]
+        row_codes += bytes([_STATUSES.index(_status(row, 0)) for row in rows[len(row_codes):]])
+        kids += [()] * (len(rows) - len(kids))
+        if moves < MAX_PLIES:  # _status tests the move count last, after the sum and the length
+            codes = array("B", [row_codes[i] for i in layer])
         else:
-            statuses = [status_of(GameState(rows[i], moves)) for i in layer]
-        live = [i for i, status in zip(layer, statuses) if status is ONGOING]
+            codes = array("B", [_STATUSES.index(_status(rows[i], moves)) for i in layer])
+        live = [i for i, code in zip(layer, codes) if not code]
         for i in live:
-            if i not in kids:  # in encoded-action order: both ops on cell 0, then on cell 1, ...
+            if not kids[i]:  # in encoded-action order: both ops on cell 0, then on cell 1, ...
                 cells = rows[i]
-                kids[i] = [ids.setdefault(_step(cells, j, op), len(ids)) for j in range(len(cells)) for op in _OPS]
-        layers.append((layer, statuses))
-        lives.append(live)
+                kids[i] = tuple([ids.setdefault(_step(cells, j, op), len(ids))
+                                 for j in range(len(cells)) for op in _OPS])
+        layers.append((array("H" if len(rows) <= 0x10000 else "I", layer), codes))  # two bytes an id while ids fit
         layer = list(dict.fromkeys(chain.from_iterable([kids[i] for i in live])))
         moves += 1
     positions = array("I")  # layers run by move count, so sorting each layer's live positions sorts them all
-    for moves, live in enumerate(lives, root.moves_played):
-        positions.extend(sorted(moves * len(rows) + i for i in live))
-    return GameGraph(root, ids, rows, kids, layers, [*map(_key_prefix, rows)], len(rows), positions)
+    for moves, (layer, codes) in enumerate(layers, root.moves_played):
+        positions.extend(sorted(moves * len(rows) + i for i, code in zip(layer, codes) if not code))
+    return GameGraph(root, ids, rows, kids, layers, len(rows), positions)
 
 
 @cache
@@ -169,7 +175,12 @@ class _States(Sequence):
     def __getitem__(self, n: int) -> GameState | tuple[GameState, TerminalStatus]:
         moves, row = divmod(self._at[n], self._width)  # the array raises IndexError past either end
         state = GameState(self._rows[row], moves)
-        return state if self._ends is None else (state, _ENDS[self._ends[n]])
+        return state if self._ends is None else (state, _STATUSES[self._ends[n]])
+
+    def __iter__(self) -> Iterator[GameState | tuple[GameState, TerminalStatus]]:  # one pass, no __getitem__ a state
+        rows = self._rows
+        states = (GameState(rows[row], moves) for moves, row in map(divmod, self._at, repeat(self._width)))
+        return states if self._ends is None else zip(states, map(_STATUSES.__getitem__, self._ends))
 
 
 class Reachable:
@@ -178,10 +189,10 @@ class Reachable:
     def __init__(self, root: GameState) -> None:
         self._graph = graph = game_graph(root)
         rows, width, layers, live, done = graph.rows, graph.width, graph.layers, array("I"), array("I")
-        for moves, (layer, statuses) in enumerate(layers, root.moves_played):
-            for i, status in zip(layer, statuses):
-                (live if status is ONGOING else done).append(moves * width + i)
-        ends = array("B", (_ENDS.index(s) for _, statuses in layers for s in statuses if s is not ONGOING))
+        for moves, (layer, codes) in enumerate(layers, root.moves_played):
+            for i, code in zip(layer, codes):
+                (done if code else live).append(moves * width + i)
+        ends = array("B", [code for _, codes in layers for code in codes if code])
         self.ongoing, self.terminal = _States(rows, width, live), _States(rows, width, done, ends)
 
     def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
@@ -240,10 +251,10 @@ class _Table(Mapping):
         return value
 
     def __iter__(self) -> Iterator[str]:  # the deepest layer first, the backward pass's order
-        graph = self._graph
+        graph, prefixes = self._graph, self._graph.prefixes
         for d in reversed(range(len(graph.layers))):
             suffix = str(graph.root.moves_played + d)
-            yield from (graph.prefixes[i] + suffix for i in graph.layers[d][0])
+            yield from (prefixes[i] + suffix for i in graph.layers[d][0])
 
     def __len__(self) -> int:
         return sum(len(layer) for layer, _ in self._graph.layers)
@@ -259,14 +270,11 @@ def _backward(graph: GameGraph, ends: tuple, node: Callable, new: Callable, keep
     children's values in encoded-action order, their number)``.
     """
     kids, values, here = graph.kids, [], ()
-    for played, (layer, statuses) in reversed([*enumerate(graph.layers, graph.root.moves_played)]):
+    end = [ends[0] if status.winner is _SHRINKER else ends[1] for status in _STATUSES]  # by status code
+    for played, (layer, codes) in reversed([*enumerate(graph.layers, graph.root.moves_played)]):
         seat, below, get, here = _seat_to_move(played), here, here.__getitem__, new(max(layer) + 1)
-        for i, status in zip(layer, statuses):
-            if status is ONGOING:
-                kid = kids[i]
-                here[i] = node(seat, map(get, kid), len(kid))
-            else:
-                here[i] = ends[0] if status.winner is _SHRINKER else ends[1]
+        for i, code in zip(layer, codes):
+            here[i] = end[code] if code else node(seat, map(get, kid := kids[i]), len(kid))
         values.append(below if keep is None else keep(below))
     values.append(here if keep is None else keep(here))
     return values[:0:-1]  # root first, without the empty layer below the last
@@ -332,7 +340,7 @@ def random_win_table(root: GameState | None = None, exact: bool = False) -> Mapp
                            lambda n: [math.nan] * n, partial(array, "d"))
         return _Table(graph, values, lambda p: p if p == p else None)  # NaN, an empty slot, is not == NaN
     from fractions import Fraction  # only an exact table loads it
-    denom = math.lcm(*map(len, graph.kids.values())) ** (len(graph.layers) - 1)  # D
+    denom = math.lcm(*filter(None, map(len, graph.kids))) ** (len(graph.layers) - 1)  # D: () is a row never live
     values = _backward(graph, (denom, 0), lambda _, outs, n: sum(outs) // n, lambda n: [None] * n)
     return _Table(graph, values, lambda n: None if n is None else Fraction(n, denom))
 

@@ -108,6 +108,8 @@ def test_reachable_states_index_like_lists():
     reach = reachable_states()
     ongoing, terminal = list(reach.ongoing), list(reach.terminal)
     assert (len(ongoing), len(terminal)) == (8410, 8203)
+    # iteration walks the positions itself, and gives what indexing gives, in the same order
+    assert ongoing == [reach.ongoing[n] for n in range(8410)] and terminal == [reach.terminal[n] for n in range(8203)]
     assert reach.ongoing[-1] == ongoing[-1] and reach.ongoing[0] == initial_state()
     assert reach.terminal[-len(terminal)] == terminal[0]
     for view, n in ((reach.ongoing, len(ongoing)), (reach.terminal, len(terminal))):
@@ -159,21 +161,24 @@ def test_reachable_states_build_no_states():
 def test_every_graph_edge_matches_the_checked_apply():
     # the graph moves through the engine's unchecked step, once per live row;
     # every edge of every live state must be what the public, checked apply
-    # gives for that action, at that state's own move count
+    # gives for that action, at that state's own move count; a layer keeps each
+    # status as its index in TerminalStatus, and a row never live has no children
     states = edges = 0
     graph = game_graph(initial_state())
     ids, rows, kids, layers, prefixes = graph.ids, graph.rows, graph.kids, graph.layers, graph.prefixes
+    by_code, live_rows = tuple(TerminalStatus), set()
     assert rows == list(ids) and [ids[row] for row in rows] == list(range(len(rows)))
     assert prefixes == [state_key(GameState(row, 0))[:-1] for row in rows]
-    for moves, ((layer, statuses), (below, below_statuses)) in enumerate(pairwise([*layers, ([], [])])):
+    for moves, ((layer, codes), (below, below_codes)) in enumerate(pairwise([*layers, ((), ())])):
         assert len(set(layer)) == len(layer)  # a layer holds each row once
-        status_below = dict(zip(below, below_statuses))
-        for i, status in zip(layer, statuses):
-            state = GameState(rows[i], moves)
+        status_below = {c: by_code[code] for c, code in zip(below, below_codes)}
+        for i, code in zip(layer, codes):
+            state, status = GameState(rows[i], moves), by_code[code]
             assert status is status_of(state)
             if status.is_terminal:
                 continue
             states += 1
+            live_rows.add(i)
             actions = legal_actions(state)
             assert len(kids[i]) == len(actions)
             for c, action in zip(kids[i], actions):
@@ -182,6 +187,7 @@ def test_every_graph_edge_matches_the_checked_apply():
                 assert status_below[c] is child_status  # the child sits in the next layer
                 edges += 1
     assert (states, edges) == (8410, 74108)
+    assert len(kids) == len(rows) and [i for i, kid in enumerate(kids) if kid] == sorted(live_rows)
 
 
 def test_graph_steps_each_live_row_once(graph_steps):
@@ -230,23 +236,66 @@ def test_cached_graph_stays_small():
         size = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert size <= 1.5 * 2**20
+    assert size <= 0.875 * 2**20
+
+
+def test_set_up_writes_no_key_and_the_first_key_builds_the_prefixes(monkeypatch, tmp_path):
+    # a set-up solves the standard game and loads a table, finding every key on
+    # the graph without writing one; the first key written builds all 3,333 row
+    # prefixes, which the graph then keeps for every later key
+    calls = [0]
+
+    def counting_key_prefix(cells):
+        calls[0] += 1
+        return flux.engine._key_prefix(cells)
+
+    monkeypatch.setattr(flux.solver, "_key_prefix", counting_key_prefix)
+    standard_graph.cache_clear()
+    default_solved.cache_clear()
+    try:
+        default_solved()
+        flux.qlearn.load_qtable(str(Path(__file__).resolve().parent.parent / "perfbench/fixtures/q_amplifier.txt"))
+        assert calls == [0]
+        assert standard_graph().key(0) == "2,1,3,1,2|0" and calls == [3333]
+        export_solved(default_solved(), str(tmp_path / "solved.txt"))
+        assert (tmp_path / "solved.txt").read_bytes().count(b"\n") == 2 + 16613 and calls == [3333]
+    finally:
+        standard_graph.cache_clear()
+        default_solved.cache_clear()
+
+
+def test_a_graph_equals_its_rebuild_whether_or_not_it_wrote_a_key():
+    graph = flux.solver._build_graph(initial_state())
+    assert graph.key(0) == "2,1,3,1,2|0" and graph._prefixes is not None
+    fresh = standard_graph.__wrapped__()
+    assert fresh._prefixes is None and graph == fresh and fresh == graph
+
+
+def test_a_graph_past_65535_rows_keeps_four_byte_row_ids():
+    # a layer keeps two bytes a row id only while every id found so far fits: ten 2s reach 111,324 rows
+    graph = game_graph(GameState((2,) * 10, 0))
+    codes = "".join(layer.typecode for layer, _ in graph.layers)
+    assert graph.width == 111324 and codes.startswith("H") and codes.endswith("I") and "IH" not in codes
+    assert max(max(layer) for layer, _ in graph.layers) == graph.width - 1 > 0xFFFF
+    pos = graph.live[-1]
+    assert graph.find(graph.key(pos)) == pos and graph.number(pos) == len(graph.live) - 1
+    assert {layer.typecode for layer, _ in standard_graph().layers} == {"H"}
 
 
 def test_graph_classifies_each_row_once_below_the_ply_limit(monkeypatch):
-    # below the ply limit a state's status is its row's, so status_of runs once
+    # below the ply limit a state's status is its row's, so the rule runs once
     # per distinct row (3,333) and once per state only at the limit (1,685),
     # not once per state (16,613) or per edge; the engine's name is counted
-    # too, so a build through the public apply shows
-    calls = 0
+    # too, so a build through the public status_of or apply shows
+    calls, rule = 0, flux.engine._status
 
-    def counting_status_of(state):
+    def counting_status(cells, moves):
         nonlocal calls
         calls += 1
-        return status_of(state)
+        return rule(cells, moves)
 
-    monkeypatch.setattr(flux.solver, "status_of", counting_status_of)
-    monkeypatch.setattr(flux.engine, "status_of", counting_status_of)
+    monkeypatch.setattr(flux.solver, "_status", counting_status)
+    monkeypatch.setattr(flux.engine, "_status", counting_status)
     standard_graph.cache_clear()
     reach = reachable_states()
     standard_graph.cache_clear()
@@ -310,7 +359,7 @@ def test_other_spellings_of_a_key_miss_in_every_table(root):
 
 def test_one_module_numbers_and_parses_state_keys():
     # the state index is the graph's: only the solver bisects, and only the
-    # engine's parser and the graph's one lookup split text on "|"
+    # engine's key grammar, which state_from_key and the graph's find share, splits text on "|"
     bisects, splits = [], []
     for path in sorted(Path(flux.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -329,7 +378,7 @@ def test_one_module_numbers_and_parses_state_keys():
                     and any(isinstance(arg, ast.Constant) and arg.value == "|" for arg in node.args)):
                 splits.append((path.name, scopes.get(node)))
     assert bisects == ["solver.py"]
-    assert sorted(splits) == [("engine.py", "state_from_key"), ("solver.py", "find")]
+    assert sorted(splits) == [("engine.py", "_key_fields")]
 
 
 def test_only_the_solver_keeps_a_graph():
@@ -668,7 +717,7 @@ def test_exact_integers_agree_with_fraction_arithmetic():
     # the exact pass keeps integers over one common denominator and divides each
     # sum of children exactly; every state must read as the Fraction pass gives it
     assert status_of(SEVEN_CELLS) is TerminalStatus.ONGOING
-    assert math.lcm(*map(len, game_graph(SEVEN_CELLS).kids.values())) == 840
+    assert math.lcm(*filter(None, map(len, game_graph(SEVEN_CELLS).kids))) == 840  # () for a row never live
     for root in [initial_state(), *_sub_game_roots(), SEVEN_CELLS]:
         table = random_win_table(root, exact=True)
         assert table == _fraction_reference(root), state_key(root)
