@@ -30,11 +30,12 @@ from .engine import (
     Role,
     TerminalStatus,
     _seat_to_move,
+    _status,
+    _step,
     apply,
     decode_action,
     encode_action,
     initial_state,
-    legal_actions,
     status_of,
 )
 from .errors import ConfigError, FormatError, text_lines
@@ -449,16 +450,6 @@ TAG_MYOPIA = "myopia"
 ALL_TAGS = (TAG_SUM_BLINDNESS, TAG_ROW_MISCOUNT, TAG_MYOPIA, TAG_FORMAT)
 
 
-def _had_safe_alternative(state: GameState, mover: Role, chosen: Action) -> bool:
-    for alt in legal_actions(state):
-        if alt == chosen:
-            continue
-        _, st = apply(state, alt)
-        if not st.is_terminal or st.winner is mover:
-            return True
-    return False
-
-
 def classify_failure(record: GameRecord, solved: SolvedGame | None = None) -> list[tuple[int, str]]:
     """Per-ply failure tags of a record that replays, one ``verify_record`` finds no mismatch in.
 
@@ -486,7 +477,9 @@ def classify_failure(record: GameRecord, solved: SolvedGame | None = None) -> li
             p.role is Role.SHRINKER
             and action.op is Op.AMPLIFY
             and p.status is TerminalStatus.SUM_EXCEEDED_20
-            and _had_safe_alternative(before, p.role, action)
+            # another move of the row leaves the game live or wins it for the Shrinker
+            and any(_status(_step(p.cells_before, i, op), p.ply).winner is not Role.AMPLIFIER
+                    for i in range(len(p.cells_before)) for op in Op if (i, op) != action)
         ):
             tags.append((p.ply, TAG_SUM_BLINDNESS))
         if solved.winner(before) is p.role:

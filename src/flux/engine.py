@@ -1,15 +1,8 @@
 """Rules engine for Flux.
 
-Flux is played on a row of integer cells, initially [2, 1, 3, 1, 2].  Two
-players alternate: the Shrinker (player 0, moves first) tries to cut the row
-down to a single cell, the Amplifier (player 1) tries to push the running sum
-past 20.  Each move picks one cell and either doubles it (AMPLIFY) or halves
-it rounding down (DRAIN); a cell that hits zero is deleted and the row closes
-up.  If neither side has won by the end of move 15, the Shrinker wins when
-fewer than three cells remain, otherwise the Amplifier does.
-
-Everything in this module is a pure function of the state; there is no hidden
-engine object and no randomness.
+``RULES_TEXT`` states the rules, built from the constants below; the functions
+here are those rules as code.  Everything in this module is a pure function of
+the state; there is no hidden engine object and no randomness.
 """
 
 from __future__ import annotations
@@ -27,6 +20,20 @@ MAX_PLIES = 15
 TIEBREAK_MIN_CELLS = 3
 _NUMBER = "(?:0|[1-9][0-9]*)"  # in a state key: ASCII digits, no sign, no leading zero
 _CANONICAL_KEY = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*\|{_NUMBER}")  # what state_key writes
+_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")  # counts the text spells
+
+# the rules as every chat prompt states them; tests/test_engine.py compiles this text back into _step and _status
+RULES_TEXT = (
+    f"Flux is a two-player game played on a row of {_WORDS[len(INITIAL_CELLS)]} integer cells, starting as "
+    f"{list(INITIAL_CELLS)}. Players alternate turns. On each turn a player picks one cell "
+    "and applies one of two operations: AMPLIFY doubles the cell's value; DRAIN "
+    "halves it, rounding down. A cell that reaches zero is removed and the row "
+    "closes up. Player 0, the Shrinker, wins immediately if the row shrinks to "
+    "exactly one cell. Player 1, the Amplifier, wins immediately if a move pushes "
+    f"the total sum of the row above {SUM_LIMIT}. If the game reaches the end of move {MAX_PLIES} "
+    f"without either win, the Shrinker wins if fewer than {_WORDS[TIEBREAK_MIN_CELLS]} cells remain, "
+    "otherwise the Amplifier wins."
+)
 
 
 class Role(Enum):

@@ -17,20 +17,8 @@ import re
 from dataclasses import dataclass
 
 from .agents import AgentPolicy, RandomAgent, RandomSource
-from .engine import Action, GameState, MAX_PLIES, Op, Role
+from .engine import Action, GameState, MAX_PLIES, Op, RULES_TEXT, Role
 from .errors import ConfigError, TransportError
-
-RULES_TEXT = (
-    "Flux is a two-player game played on a row of five integer cells, starting as "
-    "[2, 1, 3, 1, 2]. Players alternate turns. On each turn a player picks one cell "
-    "and applies one of two operations: AMPLIFY doubles the cell's value; DRAIN "
-    "halves it, rounding down. A cell that reaches zero is removed and the row "
-    "closes up. Player 0, the Shrinker, wins immediately if the row shrinks to "
-    "exactly one cell. Player 1, the Amplifier, wins immediately if a move pushes "
-    "the total sum of the row above 20. If the game reaches the end of move 15 "
-    "without either win, the Shrinker wins if fewer than three cells remain, "
-    "otherwise the Amplifier wins."
-)
 
 INSTRUCTION = "Reply with exactly: AMPLIFY <index> or DRAIN <index>"
 

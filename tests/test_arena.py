@@ -607,6 +607,14 @@ class TestClassifier:
         assert record.outcome.reason is Reason.SUM_EXCEEDED_20
         assert classify_failure(record) == [(3, "sum_blindness")]
 
+    def test_a_bust_with_no_safe_alternative_is_not_sum_blindness(self, make_scripted_record):
+        # at move 15 with five cells every move loses on the spot: doubling the 8
+        # busts the sum, and any other move leaves at least three cells at the tiebreak
+        record = make_scripted_record("8,1,3,1,2|14", ["AMPLIFY 0"], [], seed=0)
+        assert [(p.ply, p.cells_after) for p in record.plies] == [(15, (16, 1, 3, 1, 2))]
+        assert record.outcome is TerminalStatus.SUM_EXCEEDED_20
+        assert classify_failure(record) == []
+
     def test_myopia_worked_example(self, make_scripted_record):
         # at 4,1,2 with move 5 to play the Shrinker is winning; doubling the 4
         # hands the game to the Amplifier

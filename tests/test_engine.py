@@ -1,6 +1,7 @@
 """Rules-engine tests: every case here is worked out by hand from the rules."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -8,7 +9,9 @@ from flux.engine import (
     INITIAL_CELLS,
     MAX_PLIES,
     ONGOING,
+    RULES_TEXT,
     SUM_LIMIT,
+    TIEBREAK_MIN_CELLS,
     Action,
     GameState,
     Op,
@@ -45,6 +48,15 @@ def test_constants():
     assert INITIAL_CELLS == (2, 1, 3, 1, 2)
     assert SUM_LIMIT == 20
     assert MAX_PLIES == 15
+    assert TIEBREAK_MIN_CELLS == 3
+
+
+def test_status_labels_name_the_constants():
+    # transcripts and stats.csv pin these labels, so they stay literal; a changed
+    # constant fails here instead of mislabelling every ending it decides
+    assert Reason.SUM_EXCEEDED_20.value.endswith(f"_{SUM_LIMIT}")
+    assert Reason.TIEBREAK_FEWER_THAN_3.value.endswith(f"_{TIEBREAK_MIN_CELLS}")
+    assert Reason.TIEBREAK_AT_LEAST_3.value.endswith(f"_{TIEBREAK_MIN_CELLS}")
 
 
 class TestStatus:
@@ -295,6 +307,85 @@ def test_every_transition_matches_the_frozen_reference():
             digest.update(line.encode())
             pairs += 1
     assert (len(live), pairs) == (8410, 74108)
+    assert digest.hexdigest() == ENGINE_DIGEST
+
+
+_COUNT_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+_OPERATIONS = {"doubles the cell's value": lambda v: v * 2, "halves it, rounding down": lambda v: v // 2}
+
+
+def compile_rules(text):
+    """Read ``text`` back into a game: its numbers, start row, step rule and status rule."""
+
+    def read(pattern):
+        match = re.search(pattern, text)
+        assert match, pattern
+        return match.group(1)
+
+    numbers = {
+        "cells": _COUNT_WORDS.index(read(r"on a row of (\w+) integer cells")),
+        "start": tuple(map(int, read(r"starting as \[(\d+(?:, \d+)*)\]").split(", "))),
+        "single": _COUNT_WORDS.index(read(r"wins immediately if the row shrinks to exactly (\w+) cell\.")),
+        "sum_limit": int(read(r"the total sum of the row above (\d+)\.")),
+        "max_plies": int(read(r"reaches the end of move (\d+) without either win")),
+        "tiebreak": _COUNT_WORDS.index(read(r"the Shrinker wins if fewer than (\w+) cells remain")),
+    }
+    ops = {Op[name]: _OPERATIONS[does] for name, does in re.findall(r"(AMPLIFY|DRAIN) ([^;.]+)", text)}
+    assert set(ops) == set(Op)
+    assert "A cell that reaches zero is removed and the row closes up." in text
+
+    def step(cells, index, op):
+        value = ops[op](cells[index])
+        return cells[:index] + ((value,) if value else ()) + cells[index + 1 :]
+
+    def status(cells, moves):
+        # the text orders no two immediate wins: no edge reaches both, as only a
+        # drain removes a cell and a drain lowers the sum
+        if sum(cells) > numbers["sum_limit"]:
+            return TerminalStatus.SUM_EXCEEDED_20
+        # "exactly one cell" where the engine tests len(cells) <= 1: they agree on
+        # every reachable edge, as play never empties the row (only draining the
+        # last cell of a one-cell row could, and that game is over)
+        if len(cells) == numbers["single"]:
+            return TerminalStatus.SINGLE_CELL
+        # the tiebreak applies "without either win", so after both immediate wins
+        if moves >= numbers["max_plies"]:
+            if len(cells) < numbers["tiebreak"]:
+                return TerminalStatus.TIEBREAK_FEWER_THAN_3
+            return TerminalStatus.TIEBREAK_AT_LEAST_3
+        return ONGOING
+
+    return numbers, step, status
+
+
+def test_the_rules_text_compiles_back_into_the_engine():
+    # the paper compiles rules written in words into a simulator; this reads the
+    # words the chat prompts carry back into a rule and holds it to the engine
+    numbers, step, status = compile_rules(RULES_TEXT)
+    assert numbers == {"cells": len(INITIAL_CELLS), "start": INITIAL_CELLS, "single": 1, "sum_limit": SUM_LIMIT,
+                       "max_plies": MAX_PLIES, "tiebreak": TIEBREAK_MIN_CELLS}
+    edges = {}  # the compiled game's live states, breadth-first: (action, child row, child status) per action
+    queue = [(numbers["start"], 0)]
+    seen = set(queue)
+    for cells, moves in queue:
+        if status(cells, moves) is not ONGOING:
+            continue
+        edges[cells, moves] = out = []
+        for action in (Action(i, op) for i in range(len(cells)) for op in Op):
+            child = step(cells, *action)
+            out.append((action, child, status(child, moves + 1)))
+            if (child, moves + 1) not in seen:
+                seen.add((child, moves + 1))
+                queue.append((child, moves + 1))
+    digest, mismatches, emptied = hashlib.sha256(), 0, 0
+    for cells, moves in sorted(edges, key=lambda live: state_key(GameState(*live))):
+        state = GameState(cells, moves)
+        for action, child, child_status in edges[cells, moves]:
+            mismatches += apply(state, action) != (GameState(child, moves + 1), child_status)
+            emptied += not child
+            line = f"{state_key(state)} {encode_action(action)} {state_key(GameState(child, moves + 1))} {child_status.label}\n"
+            digest.update(line.encode())
+    assert (len(edges), sum(map(len, edges.values())), mismatches, emptied) == (8410, 74108, 0, 0)
     assert digest.hexdigest() == ENGINE_DIGEST
 
 

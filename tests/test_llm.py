@@ -348,6 +348,34 @@ print(repr([m for m in {SETUP_UNUSED!r} if m in sys.modules and m not in before]
     assert _fresh_python(code, str(tmp_path / "q.txt"), parse=ast.literal_eval) == []
 
 
+def test_the_prompt_states_the_engines_constants():
+    # the engine's source runs again as flux.engine with SUM_LIMIT set to 30 just
+    # before RULES_TEXT is built; the chat harness, imported after, prompts with it
+    code = """
+import __future__, json, sys, types
+import flux.engine
+
+spec = flux.engine.__spec__
+head, rules, tail = spec.loader.get_source(spec.name).partition("\\nRULES_TEXT = ")
+engine = types.ModuleType(spec.name)
+engine.__package__ = "flux"
+exec(compile(head, spec.origin, "exec"), vars(engine))
+engine.SUM_LIMIT = 30
+exec(compile(rules + tail, spec.origin, "exec", __future__.annotations.compiler_flag), vars(engine))
+sys.modules[spec.name] = engine
+from flux.llm import render_observation
+
+state = engine.GameState((16, 1, 3, 1, 2), 3)
+prompt = render_observation(state, engine.Role.AMPLIFIER)
+print(json.dumps([flux.engine.RULES_TEXT, engine.RULES_TEXT, prompt, engine.status_of(state).label]))
+"""
+    built, changed, prompt, status = _fresh_python(code)
+    assert built == RULES_TEXT
+    assert changed == RULES_TEXT.replace("above 20.", "above 30.") != RULES_TEXT
+    assert prompt.startswith(changed + "\n\n")
+    assert status == "ongoing"  # the rules the text states are the ones the engine plays
+
+
 def test_first_http_request_loads_the_client(chat_server):
     code = """
 import json, sys

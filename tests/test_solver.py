@@ -26,7 +26,9 @@ from flux.agents import RandomAgent
 from flux.arena import classify_failure, play_game
 from flux.cli import main
 from flux.engine import (
+    INITIAL_CELLS,
     MAX_PLIES,
+    TIEBREAK_MIN_CELLS,
     GameState,
     Role,
     TerminalStatus,
@@ -149,6 +151,45 @@ def test_reachable_states_keep_their_own_graph(graph_steps):
     random_win_table()
     assert random_win_prob(initial_state()) == RANDOM_PLAY_SHRINKER_WIN
     assert graph_steps == [0]
+
+
+def _random_play_opening(shrinker_wins_at_three):
+    """The opening's Shrinker win chance under uniform random play, as a float and exactly.
+
+    One backward pass over ``standard_graph()``'s layers, apart from the solver's.  With
+    ``shrinker_wins_at_three`` the move-15 leaves with exactly three cells are Shrinker
+    wins: the tiebreak read as "at most three cells" rather than "fewer than three".
+    """
+    graph, statuses = standard_graph(), tuple(TerminalStatus)  # a status code indexes TerminalStatus
+    below = {}
+    for layer, codes in reversed(graph.layers):
+        here = {}
+        for row, code in zip(layer, codes):
+            status = statuses[code]
+            if status.is_terminal:
+                win = status.winner is Role.SHRINKER or (
+                    shrinker_wins_at_three
+                    and status is TerminalStatus.TIEBREAK_AT_LEAST_3
+                    and len(graph.rows[row]) == TIEBREAK_MIN_CELLS
+                )
+                here[row] = (float(win), Fraction(win))
+                continue
+            kids = graph.kids[row]
+            total = 0.0  # one by one in encoded-action order, as random_win_table adds
+            for kid in kids:
+                total += below[kid][0]
+            here[row] = (total / len(kids), sum(below[kid][1] for kid in kids) / len(kids))
+        below = here
+    return below[graph.ids[INITIAL_CELLS]]
+
+
+def test_the_two_readings_of_the_tiebreak():
+    # the published random-play rows (43.3% and 100 - 57.4%) fit the second reading
+    assert _random_play_opening(False) == (RANDOM_PLAY_SHRINKER_WIN, random_win_prob(initial_state(), exact=True))
+    assert _random_play_opening(True) == (
+        0.44495358155962794,
+        Fraction(19042803974385175886323470803, 42797282151628800000000000000),
+    )
 
 
 def test_reachable_states_build_no_states():
