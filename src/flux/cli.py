@@ -219,19 +219,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if records is None:
         return 1
     solved = default_solved()
-    histogram = {tag: 0 for tag in ALL_TAGS}
+    histogram: dict[str, int] = {}  # by "<role> (<agent>) <tag>", each mover's tags counted from 0 in ALL_TAGS order
     lines: list[str] = []
     for record in records:
+        movers = [f"{role.value} ({name}) " for role, name in zip(Role, (record.p0_name, record.p1_name))]
+        histogram.update({label: histogram.get(label, 0) for label in (m + tag for m in movers for tag in ALL_TAGS)})
         for ply, tag in classify_failure(record, solved):
-            histogram[tag] += 1
+            histogram[movers[(ply - 1) % 2] + tag] += 1  # the Shrinker, p0, plays the odd plies
             lines.append(f"game {record.game_id} ply {ply}: {tag}")
     for line in lines:
         print(line)
     print(f"failure histogram over {len(records)} games:")
-    for tag in ALL_TAGS:
-        print(f"  {tag}: {histogram[tag]}")
+    for label, n in histogram.items():
+        print(f"  {label}: {n}")
     if args.out:
-        counts = [f"{tag}={histogram[tag]}" for tag in ALL_TAGS]
+        counts = [f"{label}={n}" for label, n in histogram.items()]
         files = {"failures.txt": partial(_write_lines, lines + counts)}
         _write_out(args.out, "classify", _options(args, ("transcript",)), files)
     return 0

@@ -130,6 +130,8 @@ class HttpChatBackend:
         timeout: float = 60.0,
         retries: int = 1,
     ) -> None:
+        if retries < 0:  # complete makes retries + 1 attempts, and would end with no error to raise
+            raise ConfigError(f"retries must be >= 0, not {retries}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key

@@ -215,19 +215,20 @@ class CurvePoint(NamedTuple):
 
 
 class Curve(Sequence):
-    """The training curve: one flat ``array`` column per ``CurvePoint`` field.
+    """A training curve of ``cfg``: one flat ``array`` column per ``CurvePoint`` field the config does not fix.
 
-    ``append`` takes a point's seven field values in field order, ``winner``
-    as its ``player_index``; a ``CurvePoint`` is built only when it is read,
-    so a point costs a few dozen bytes, not an object with a dict.  Like a
-    list of points, a curve compares equal to any sequence of the same points.
+    ``append`` takes a point's episode, winner as its ``player_index``, plies and
+    the two table sizes; a ``CurvePoint`` is built only when it is read, with the
+    mode and epsilon ``cfg`` gives its episode, so a point costs 10 bytes, not an
+    object with a dict.  Like a list of points, a curve compares equal to any
+    sequence of the same points.
     """
 
-    def __init__(self) -> None:
-        # episode, mode, epsilon, winner's seat, plies (at most 15), states per table
-        self.columns = tuple(array(code) for code in "IBdBBII")
+    def __init__(self, cfg: TrainConfig) -> None:
+        # episode, winner's seat, plies (at most 15), states per table (at most the 8,410 live states)
+        self.cfg, self.columns = cfg, tuple(array(code) for code in "IBBHH")
 
-    def append(self, *values: int | float) -> None:
+    def append(self, *values: int) -> None:
         for column, value in zip(self.columns, values, strict=True):
             column.append(value)
 
@@ -236,23 +237,22 @@ class Curve(Sequence):
 
     def __getitem__(self, index: int | slice) -> CurvePoint | Curve:
         if isinstance(index, slice):
-            part = Curve()
+            part = Curve(self.cfg)
             part.columns = tuple(column[index] for column in self.columns)
             return part
-        return _curve_point([column[index] for column in self.columns])
+        return self._point(*[column[index] for column in self.columns])
 
     def __iter__(self) -> Iterator[CurvePoint]:
-        return map(_curve_point, zip(*self.columns))
+        return map(self._point, *self.columns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-
-def _curve_point(fields: Sequence) -> CurvePoint:
-    """A point from its column values, ``winner`` read back from its seat."""
-    return CurvePoint(*fields[:3], _ROLES[fields[3]], *fields[4:])
+    def _point(self, episode: int, seat: int, *rest: int) -> CurvePoint:  # from its column values
+        cfg = self.cfg
+        return CurvePoint(episode, mode_for_episode(episode, cfg), epsilon_at(episode, cfg), _ROLES[seat], *rest)
 
 
 def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
@@ -261,13 +261,12 @@ def train(cfg: TrainConfig) -> tuple[QTable, QTable, Curve]:
     digest = cfg.digest()
     q_shrinker = QTable(Role.SHRINKER, episodes=cfg.episodes, config_digest=digest)
     q_amplifier = QTable(Role.AMPLIFIER, episodes=cfg.episodes, config_digest=digest)
-    curve = Curve()
+    curve = Curve(cfg)
     for episode in range(cfg.episodes):
         mode = mode_for_episode(episode, cfg)
         winner, plies = run_episode(mode, q_shrinker, q_amplifier, episode, cfg, rng)
         if episode % cfg.log_every == 0 or episode == cfg.episodes - 1:
-            curve.append(episode, mode, epsilon_at(episode, cfg), winner.player_index, plies,
-                         len(q_shrinker._seen), len(q_amplifier._seen))
+            curve.append(episode, winner.player_index, plies, len(q_shrinker._seen), len(q_amplifier._seen))
     return q_shrinker, q_amplifier, curve
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping, Sequence, Set
 from functools import cache, partial, reduce
 from itertools import chain, islice, repeat
 from operator import add
@@ -195,10 +195,30 @@ class Reachable:
         ends = array("B", [code for _, codes in layers for code in codes if code])
         self.ongoing, self.terminal = _States(rows, width, live), _States(rows, width, done, ends)
 
-    def ongoing_keys(self, role: Role | None = None) -> frozenset[str]:
-        graph = self._graph
-        return frozenset(graph.key(pos) for pos in graph.live
-                         if role is None or _ROLES[_seat_to_move(pos // graph.width)] is role)
+    def ongoing_keys(self, role: Role | None = None) -> Set[str]:
+        return _LiveKeys(self._graph, role)
+
+
+class _LiveKeys(Set):
+    """Read-only: the keys of a graph's live states in layers ``depths``, each key written when iterated."""
+
+    __slots__ = ("_graph", "_depths")
+    _from_iterable = staticmethod(frozenset)  # what &, |, - and ^ give
+
+    def __init__(self, graph: GameGraph, role: Role | None) -> None:  # role's layers: every other one, or all
+        skip = role is not None and _ROLES[_seat_to_move(graph.root.moves_played)] is not role  # the root's layer
+        self._graph, self._depths = graph, range(skip, len(graph.layers), 1 if role is None else 2)
+
+    def __contains__(self, key: object) -> bool:  # found on the graph: False for anything but a live state's key
+        pos = (graph := self._graph).find(key)
+        return graph.number(pos) >= 0 and pos // graph.width - graph.root.moves_played in self._depths
+
+    def __len__(self) -> int:  # status code 0 is ONGOING
+        return sum(self._graph.layers[d][1].count(0) for d in self._depths)
+
+    def __iter__(self) -> Iterator[str]:  # in ``live`` order
+        graph, first = self._graph, self._graph.root.moves_played
+        return (graph.key(pos) for pos in graph.live if pos // graph.width - first in self._depths)
 
 
 def reachable_states(root: GameState | None = None) -> Reachable:
@@ -295,10 +315,7 @@ def solve(root: GameState | None = None) -> SolvedGame:
     # side, horizon - depth if it wins, depth - horizon if the Amplifier does; no depth reaches horizon, so no 0
     horizon = len(graph.layers)
     scores = _backward(graph, (horizon, -horizon), _best, lambda _: array("b", bytes(graph.width)))
-    counts, live, width = [0, 0], graph.live, graph.width  # live states by the mover's seat, a run of live a layer
-    for moves in range(root.moves_played, root.moves_played + len(graph.layers)):
-        counts[_seat_to_move(moves)] += bisect_left(live, (moves + 1) * width) - bisect_left(live, moves * width)
-    return SolvedGame(root, graph, scores, *counts)
+    return SolvedGame(root, graph, scores, *[len(_LiveKeys(graph, role)) for role in _ROLES])
 
 
 def optimal_policy(solved: SolvedGame, state: GameState) -> Action:

@@ -12,8 +12,10 @@ import pytest
 import flux
 from flux.cli import build_parser, main
 from flux.qlearn import CURVE_HEADER, TrainConfig, load_qtable
-from flux.arena import STATS_CSV_HEADER, read_transcripts
-from flux.engine import Role
+from flux.arena import ALL_TAGS, STATS_CSV_HEADER, GameRecord, PlyRecord, read_transcripts, write_transcripts
+from flux.engine import (Op, Role, TerminalStatus, apply, encode_action, initial_state, legal_actions, role_to_move,
+                         status_of)
+from flux.solver import default_solved, optimal_policy
 
 
 FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "q_amplifier.txt"
@@ -279,6 +281,29 @@ class TestReplayAndClassify:
             assert tag in stdout
         assert (out / "failures.txt").exists()
 
+    def test_classify_counts_each_tag_under_the_mover_that_earned_it(self, tmp_path, capsys):
+        # an optimal Amplifier never blunders; the Shrinker amplifies past 20 at its first chance though a
+        # drain was safe, and one histogram over both seats would have charged it to either
+        solved, state, plies = default_solved(), initial_state(), []
+        status = status_of(state)
+        while not status.is_terminal:
+            role, action = role_to_move(state), optimal_policy(solved, state)
+            if role is Role.SHRINKER:
+                action = next((a for a in legal_actions(state)
+                               if a.op is Op.AMPLIFY and apply(state, a)[1] is TerminalStatus.SUM_EXCEEDED_20), action)
+            after, status = apply(state, action)
+            plies.append(PlyRecord(after.moves_played, role, state.cells, encode_action(action), action.text,
+                                   after.cells, after.total, status))
+            state = after
+        path = tmp_path / "one.jsonl"
+        write_transcripts([GameRecord(0, 0, "blunderer", "optimal", plies, status)], str(path))
+        assert run("classify", path, "-o", tmp_path / "c") == 0
+        counts = [f"{mover} {tag}={int(mover == 'shrinker (blunderer)' and tag == 'sum_blindness')}"
+                  for mover in ("shrinker (blunderer)", "amplifier (optimal)") for tag in ALL_TAGS]
+        assert (tmp_path / "c" / "failures.txt").read_text().splitlines() == ["game 0 ply 3: sum_blindness", *counts]
+        stdout = capsys.readouterr().out
+        assert "  shrinker (blunderer) sum_blindness: 1\n" in stdout and "  amplifier (optimal) myopia: 0\n" in stdout
+
     def test_classify_writes_a_run_cfg(self, transcripts, tmp_path, capsys):
         # classify -o used to write failures.txt alone, unlike every other command that writes artifacts
         out = tmp_path / "c"
@@ -415,8 +440,9 @@ PINNED_BYTES = {
         "stats.csv": "3d4652cda351732a8fd0be85a81d012d74cd97eaa6874b9d44fbadce8c94e392",
     },
     "classify": {
-        "stdout": "a8a994749e4eea78e2105fe8efa0daad4b6e4bf045466501c88aaf78ecb92b4d",
-        "failures.txt": "f83a219fdbf051edeff9c1caebee499fb822823b729d50efbff84b65c69db066",
+        # retaken when the histogram came to count each mover's tags apart
+        "stdout": "c67784a285d638c2d6c3ccb90f743dc675adaf3c39d1b7fdc6e3fd80fea7d012",
+        "failures.txt": "01fef1e402d9a216a3f3f6fabb9e97bf5ea7e04407ad5cefe5d7643baece2e7e",
         "run.cfg": "468fb6d9669500ad336d712f46d940b872360d23c2840bde264b448ec845a244",  # the one file added since
     },
 }

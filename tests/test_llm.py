@@ -276,6 +276,13 @@ class TestHttpBackend:
             backend.complete([("user", "hi")])
         assert len(_Handler.requests_seen) == sent
 
+    @pytest.mark.parametrize("retries", [-1, -5])
+    def test_negative_retries_are_refused_before_any_request(self, chat_server, retries):
+        # complete used to make no attempt and then raise None, a TypeError
+        with pytest.raises(ConfigError, match=f"retries must be >= 0, not {retries}"):
+            HttpChatBackend(chat_server, model="m", retries=retries)
+        assert _Handler.requests_seen == []
+
 
 # --- the HTTP stack loads only when an HTTP backend sends a request ---------
 

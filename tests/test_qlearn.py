@@ -552,6 +552,22 @@ class TestCurve:
             "b3d11ea2e959ffecc9ce75826b0ada86ddb19196201fed4a2b85391007cfad79"
         )
 
+    def test_log_every_keeps_every_nth_episode_and_the_last(self):
+        _, _, curve = train(TrainConfig(episodes=20, log_every=7))
+        assert [p.episode for p in curve] == [0, 7, 14, 19]
+
+    @pytest.mark.parametrize("curriculum", ["roundrobin", "block"])
+    def test_mode_and_epsilon_come_from_the_config(self, curriculum):
+        # the curve keeps neither: a read point takes them from its episode, as train once stored them
+        cfg = TrainConfig(episodes=40, seed=5, curriculum=curriculum, eps_decay=0.9)
+        _, _, curve = train(cfg)
+        assert len(curve.columns) == 5 and curve.cfg is cfg
+        for points in (curve, curve[3:30:4], curve[::-1]):
+            assert points.cfg is cfg and len(points) > 1
+            assert all((p.mode, p.epsilon) == (mode_for_episode(p.episode, cfg), epsilon_at(p.episode, cfg))
+                       for p in points)
+        assert {p.mode for p in curve} == {1, 2, 3} and curve[-1].epsilon == cfg.eps_min
+
     def test_a_point_costs_a_few_dozen_bytes(self):
         train(TrainConfig(episodes=30, seed=0))  # fill the engine's caches first
         tracemalloc.start()
@@ -562,8 +578,8 @@ class TestCurve:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # a list of CurvePoint objects keeps about 235 B per point
-        assert kept / len(curve) <= 48
+        # a list of CurvePoint objects keeps about 235 B per point, seven columns 24 B
+        assert kept / len(curve) <= 16
 
 
 def test_another_solve_leaves_tables_and_agents_the_standard_graph(graph_steps):

@@ -12,6 +12,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import chain, pairwise
 from pathlib import Path
@@ -129,12 +130,45 @@ def test_reachable_states_index_like_lists():
 
 @pytest.mark.parametrize("root", [initial_state(), SUB_ROOT], ids=["standard", "sub-game"])
 def test_ongoing_keys_come_from_the_graph(root):
-    # keys are built from the row prefixes and the move count, no GameState made
+    # keys are built from the row prefixes and the move count, no GameState made, in
+    # the graph's live order; the sets compare with real sets from either side
     reach = reachable_states(root)
-    for role in Role:
-        assert reach.ongoing_keys(role) == {state_key(s) for s in reach.ongoing if role_to_move(s) is role}
-    assert reach.ongoing_keys() == {state_key(s) for s in reach.ongoing}
+    for role in (None, *Role):
+        keys = {state_key(s) for s in reach.ongoing if role in (None, role_to_move(s))}
+        view, fewer = reach.ongoing_keys(role), set(sorted(keys)[1:])
+        assert view == keys and keys == view and view == frozenset(keys) and frozenset(keys) == view
+        assert view <= keys and keys <= view and view >= keys and keys >= view
+        assert fewer <= view and view >= fewer and fewer < view and view > fewer
+        assert view != fewer and fewer != view and not view <= fewer and not fewer >= view
+        assert list(view) == sorted(keys, key=game_graph(root).find)  # by position
+        assert view & fewer == fewer and isinstance(view - fewer, frozenset) and len(view - fewer) == 1
     assert len(reach.ongoing_keys()) == len(reach.ongoing)
+
+
+def test_ongoing_keys_hold_nothing_but_the_movers_live_keys():
+    reach = reachable_states()
+    opening, reply = state_key(initial_state()), "4,1,3,1,2|1"
+    shrinker, amplifier, both = (reach.ongoing_keys(role) for role in (Role.SHRINKER, Role.AMPLIFIER, None))
+    assert opening in shrinker and opening in both and reply in amplifier and reply in both
+    finished = state_key(reach.terminal[0][0])
+    for key in (None, 3, "02,1|0", "25,1|0", "2,1|0", finished, reply, opening + " "):
+        assert key not in shrinker  # and no lookup raises
+    assert opening not in amplifier and finished not in both
+
+
+def test_ongoing_keys_keep_the_graph_and_no_key():
+    reach = reachable_states()
+    alive = weakref.ref(reach)
+    tracemalloc.start()
+    try:
+        views = [reach.ongoing_keys(role) for role in Role]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 8 * 1024  # two frozensets of the live keys kept 744 KiB
+    del reach
+    assert alive() is None  # nor the Reachable
+    assert [len(view) for view in views] == [4426, 3984]
 
 
 def test_reachable_states_keep_their_own_graph(graph_steps):
